@@ -123,23 +123,22 @@ struct AntiEntropyAck {
   uint64_t batch_id = 0;
 };
 
-/// Digest-based repair: the sender advertises its latest version per key;
-/// the receiver responds (via AntiEntropyBatch) with versions the sender is
-/// missing. Used to resynchronize after crashes/partitions independent of
-/// the push outboxes.
+/// Bucket-scoped round of digest-based repair: the sender advertises its
+/// latest version per key within some digest buckets of one shard; the
+/// receiver responds (via AntiEntropyBatch) with versions the sender is
+/// missing there. Used to resynchronize after crashes/partitions
+/// independent of the push outboxes.
 struct DigestRequest {
   std::vector<std::pair<Key, Timestamp>> latest;
   /// True on the initiating round: the receiver may answer with its own
   /// digest (reply=false) when it notices the initiator has data it lacks,
   /// so repair works in both directions without recursing further.
   bool reply_allowed = true;
-  /// Empty: `latest` covers the sender's whole keyspace (flat protocol).
-  /// Non-empty: the bucket-scoped round of sharded digest repair — `latest`
-  /// covers exactly the sender's keys in these digest buckets of `shard`,
-  /// and the receiver's answer is scoped to them too.
+  /// Digest buckets of `shard` that `latest` covers exactly; the
+  /// receiver's answer is scoped to them too. A request with no buckets is
+  /// dropped.
   std::vector<uint32_t> buckets;
-  /// Local shard the scoped request refers to. Meaningful only when
-  /// `buckets` is non-empty (flat digests span every shard).
+  /// Logical shard the request refers to.
   uint32_t shard = 0;
 };
 
@@ -151,22 +150,21 @@ struct DigestRequest {
 /// disagreed costs B hashes, not one digest entry per key.
 struct BucketDigest {
   std::vector<uint64_t> hashes;
-  /// Local shard these bucket hashes describe.
+  /// Logical shard these bucket hashes describe.
   uint32_t shard = 0;
 };
 
-/// Round 0 of sharded digest repair: one roll-up hash per local shard
-/// (ShardedStore::ShardHashes()). The receiver compares with its own shard
+/// Round 0 of sharded digest repair: one roll-up hash per hosted shard
+/// (ShardedStore::ShardTopHash). The receiver compares with its own shard
 /// summaries and answers with a BucketDigest for each mismatched shard —
 /// an in-sync tick costs S hashes total, and a diff confined to one shard
 /// ships bucket hashes for that shard only.
 struct ShardDigest {
   std::vector<uint64_t> hashes;
-  /// Shard tags parallel to `hashes`. Empty (the pre-migration wire format):
-  /// hashes[i] describes shard tag i — valid while both peers host the same
-  /// slot layout. Non-empty: hashes[i] describes logical shard shards[i],
-  /// so peers whose slot layouts diverged through live migration still
-  /// compare the right shards.
+  /// Logical shard tags parallel to `hashes`: hashes[i] describes logical
+  /// shard shards[i], so peers whose slot layouts diverged through live
+  /// migration still compare the right shards. A digest whose two lists
+  /// differ in length is dropped.
   std::vector<uint32_t> shards;
 };
 

@@ -10,31 +10,8 @@ namespace {
 constexpr size_t kAppliedBatchMemory = 4096;
 constexpr sim::Duration kMaxBackoff = 8 * sim::kSecond;
 
-using version::ShardedStore;
 using version::VersionedStore;
 
-/// Recomputes a peer's per-(shard, bucket) hashes from its flat per-key
-/// digest. Matches VersionedStore's incremental maintenance by construction
-/// (same entry hash, same XOR aggregation), so bucket-equal regions can be
-/// skipped. Shard/bucket membership is pure key hashing, so our store's
-/// topology buckets the peer's entries identically. Entries for shards we
-/// do not host (the peer raced a live migration) are skipped — only their
-/// owner can repair them.
-std::vector<std::vector<uint64_t>> BucketHashesOfDigest(
-    const ShardedStore& ours,
-    const std::vector<std::pair<Key, Timestamp>>& latest) {
-  std::vector<std::vector<uint64_t>> hashes(ours.shard_count());
-  for (size_t s = 0; s < ours.shard_count(); s++) {
-    hashes[s].assign(ours.shard(s).digest_buckets(), 0);
-  }
-  for (const auto& [key, ts] : latest) {
-    auto s = ours.TrySlotOfKey(key);
-    if (!s) continue;
-    hashes[*s][ours.shard(*s).BucketOf(key)] ^=
-        VersionedStore::DigestEntryHash(key, ts);
-  }
-  return hashes;
-}
 }  // namespace
 
 AntiEntropyEngine::AntiEntropyEngine(sim::Simulation& sim, net::NodeId id,
@@ -164,30 +141,19 @@ void AntiEntropyEngine::DigestSyncTick() {
   if (!peers.empty()) {
     net::NodeId peer = peers[rng_.NextBelow(peers.size())];
     stats_.digest_ticks++;
-    if (options_.bucketed_digest) {
-      // Round 0: one roll-up hash per shard. A fully in-sync peer answers
-      // with silence; a diff confined to one shard pulls bucket hashes for
-      // that shard only. Explicit-placement stores tag each hash with its
-      // logical shard id so peers whose slot layouts diverged through live
-      // migration still compare the right shards (and detached slots drop
-      // out); implicit stores keep the untagged legacy format.
-      net::ShardDigest digest;
-      if (good_.explicit_placement()) {
-        for (size_t s = 0; s < good_.shard_count(); s++) {
-          uint32_t tag = good_.LogicalTagOfSlot(s);
-          if (tag == version::ShardedStore::kNoShard) continue;
-          digest.shards.push_back(tag);
-          digest.hashes.push_back(good_.ShardTopHash(s));
-        }
-      } else {
-        digest.hashes = good_.ShardHashes();
-      }
-      SendDigestMessage(peer, std::move(digest), /*entries=*/0);
-    } else {
-      net::DigestRequest digest;
-      digest.latest = good_.Digest();
-      SendDigestMessage(peer, std::move(digest), good_.KeyCount());
+    // Round 0: one roll-up hash per hosted shard. A fully in-sync peer
+    // answers with silence; a diff confined to one shard pulls bucket hashes
+    // for that shard only. Each hash is tagged with its logical shard id so
+    // peers whose slot layouts diverged through live migration still compare
+    // the right shards (and detached slots drop out).
+    net::ShardDigest digest;
+    for (size_t s = 0; s < good_.shard_count(); s++) {
+      uint32_t tag = good_.LogicalTagOfSlot(s);
+      if (tag == version::ShardedStore::kNoShard) continue;
+      digest.shards.push_back(tag);
+      digest.hashes.push_back(good_.ShardTopHash(s));
     }
+    SendDigestMessage(peer, std::move(digest), /*entries=*/0);
   }
   sim_.After(options_.digest_sync_interval, [this]() { DigestSyncTick(); });
 }
@@ -205,10 +171,10 @@ void AntiEntropyEngine::HandleShardDigest(const net::ShardDigest& digest,
   // roll-up summary disagrees; matching shards drop out of the protocol
   // before any of their bucket hashes are even serialized. Shards the
   // sender advertises but we do not host (live migration moved them) are
-  // skipped — their owner repairs them.
+  // skipped — their owner repairs them. Every hash must carry its tag.
+  if (digest.shards.size() != digest.hashes.size()) return;
   for (size_t i = 0; i < digest.hashes.size(); i++) {
-    uint32_t tag = digest.shards.empty() ? static_cast<uint32_t>(i)
-                                         : digest.shards[i];
+    uint32_t tag = digest.shards[i];
     auto slot = good_.SlotOfLogical(tag);
     if (!slot) continue;
     if (digest.hashes[i] == good_.ShardTopHash(*slot)) continue;
@@ -257,41 +223,25 @@ void AntiEntropyEngine::BackfillBucket(
 
 void AntiEntropyEngine::HandleDigest(const net::DigestRequest& req,
                                      net::NodeId from) {
-  // Send back every version the requester is missing, in bounded batches
-  // (unacknowledged one-shot batches: the requester's next digest will
-  // re-trigger anything lost). Work is confined to the digest's buckets:
-  // (req.shard, req.buckets) for a scoped round-2 request; for a flat
-  // digest, the requester's per-shard bucket hashes are recomputed from its
-  // entries so in-sync buckets cost one comparison instead of a per-key
-  // walk.
-  const bool scoped = !req.buckets.empty();
-  std::optional<size_t> scoped_slot =
-      scoped ? good_.SlotOfLogical(req.shard) : std::optional<size_t>();
-  if (scoped && !scoped_slot) return;  // not hosted (topology or migration)
+  // Send back every version the requester is missing within (req.shard,
+  // req.buckets), in bounded batches (unacknowledged one-shot batches: the
+  // requester's next digest will re-trigger anything lost).
+  if (req.buckets.empty()) return;  // unscoped: not part of the protocol
+  auto slot = good_.SlotOfLogical(req.shard);
+  if (!slot) return;  // not hosted (topology or migration)
+  const VersionedStore& store = good_.shard(*slot);
+  std::vector<size_t> mismatched;
+  for (uint32_t b : req.buckets) {
+    if (b < store.digest_buckets()) mismatched.push_back(b);
+  }
   std::map<Key, Timestamp> theirs;
   for (const auto& [k, ts] : req.latest) theirs.emplace(k, ts);
 
-  std::vector<std::pair<size_t, size_t>> mismatched;  // (slot, bucket)
-  if (scoped) {
-    for (uint32_t b : req.buckets) {
-      if (b < good_.shard(*scoped_slot).digest_buckets()) {
-        mismatched.emplace_back(*scoped_slot, b);
-      }
-    }
-  } else {
-    std::vector<std::vector<uint64_t>> their_hashes =
-        BucketHashesOfDigest(good_, req.latest);
-    for (size_t s = 0; s < good_.shard_count(); s++) {
-      for (size_t b = 0; b < good_.shard(s).digest_buckets(); b++) {
-        if (their_hashes[s][b] != good_.shard(s).BucketHash(b)) {
-          mismatched.emplace_back(s, b);
-        }
-      }
-    }
-  }
-
   net::AntiEntropyBatch batch;
   batch.batch_id = NextBatchId();
+  // Repair batches stay shard-homogeneous when shard-lane batching is on:
+  // the request covers one shard, so every batch carries its tag.
+  if (options_.shard_lane_batching) batch.shard = req.shard;
   size_t batch_bytes = 0;
   auto flush = [this, from, &batch, &batch_bytes]() {
     if (batch.writes.empty()) return;
@@ -313,67 +263,40 @@ void AntiEntropyEngine::HandleDigest(const net::DigestRequest& req,
       flush();
     }
   };
-  // Repair batches stay shard-homogeneous too when shard-lane batching is
-  // on: a scoped request already covers one shard; a flat walk flushes at
-  // each slot boundary so each batch carries one shard's tag.
-  if (options_.shard_lane_batching && scoped) batch.shard = req.shard;
-  std::optional<size_t> tag_slot;
-  for (const auto& [s, b] : mismatched) {
-    if (options_.shard_lane_batching && !scoped && tag_slot != s) {
-      flush();
-      tag_slot = s;
-      batch.shard = good_.LogicalTagOfSlot(s);
-    }
-    BackfillBucket(s, b, theirs, add);
-  }
+  for (size_t b : mismatched) BackfillBucket(*slot, b, theirs, add);
   flush();
 
   // Reverse direction: if the requester advertises data we lack, answer
-  // with our own digest (one round only) so it pushes the difference back.
-  // Only entries in mismatched buckets can differ, so only they are probed.
-  if (req.reply_allowed) {
-    // Flat-bitmap scope test: the requester's (often large) entry list is
-    // probed once per entry, so the lookup must stay O(1).
-    std::vector<std::vector<char>> in_scope(good_.shard_count());
-    for (const auto& [s, b] : mismatched) {
-      if (in_scope[s].empty()) {
-        in_scope[s].assign(good_.shard(s).digest_buckets(), 0);
-      }
-      in_scope[s][b] = 1;
+  // with our own digest for the same buckets (one round only) so it pushes
+  // the difference back. Only entries in requested buckets can differ.
+  if (!req.reply_allowed) return;
+  // Flat-bitmap scope test: the requester's entry list is probed once per
+  // entry, so the lookup must stay O(1).
+  std::vector<char> in_scope(store.digest_buckets(), 0);
+  for (size_t b : mismatched) in_scope[b] = 1;
+  bool missing = false;
+  for (const auto& [k, ts] : req.latest) {
+    if (good_.TrySlotOfKey(k) != slot || !in_scope[store.BucketOf(k)]) {
+      continue;
     }
-    bool missing = false;
-    for (const auto& [k, ts] : req.latest) {
-      auto s = good_.TrySlotOfKey(k);
-      if (!s || in_scope[*s].empty() ||
-          !in_scope[*s][good_.shard(*s).BucketOf(k)]) {
-        continue;
-      }
-      auto ours = good_.shard(*s).LatestTimestamp(k);
-      if (!ours || *ours < ts) {
-        missing = true;
-        break;
-      }
-    }
-    if (missing) {
-      net::DigestRequest mine;
-      mine.reply_allowed = false;
-      if (scoped) {
-        // Stay scoped: our entries for the same (shard, buckets).
-        mine.shard = req.shard;
-        mine.buckets = req.buckets;
-        for (const auto& [s, b] : mismatched) {
-          good_.shard(s).ForEachLatestInBucket(
-              b, [&](const Key& key, const Timestamp& ts) {
-                mine.latest.emplace_back(key, ts);
-              });
-        }
-      } else {
-        mine.latest = good_.Digest();
-      }
-      size_t entries = mine.latest.size();
-      SendDigestMessage(from, std::move(mine), entries);
+    auto ours = store.LatestTimestamp(k);
+    if (!ours || *ours < ts) {
+      missing = true;
+      break;
     }
   }
+  if (!missing) return;
+  net::DigestRequest mine;
+  mine.reply_allowed = false;
+  mine.shard = req.shard;
+  mine.buckets = req.buckets;
+  for (size_t b : mismatched) {
+    store.ForEachLatestInBucket(b, [&](const Key& key, const Timestamp& ts) {
+      mine.latest.emplace_back(key, ts);
+    });
+  }
+  size_t entries = mine.latest.size();
+  SendDigestMessage(from, std::move(mine), entries);
 }
 
 void AntiEntropyEngine::Clear() {

@@ -6,17 +6,15 @@
 //    exponential backoff, so partitions delay but never lose gossip.
 //    Receivers dedupe batches by id (bounded generational memory).
 //  * Digest pull — optionally, the engine periodically syncs with one random
-//    peer. The default protocol is *sharded + bucketed*, scoped tighter at
-//    each round: round 0 ships one roll-up hash per local shard
-//    (ShardDigest); the receiver answers with that shard's B bucket hashes
-//    for mismatched shards only (BucketDigest); the initiator replies with
-//    per-key digests for mismatched buckets only (scoped DigestRequest);
-//    the receiver back-fills just those keys from VersionsAfter. An in-sync
-//    tick therefore costs S hashes, and a diff confined to one shard never
-//    hashes or walks the cold shards. The flat per-key protocol remains
-//    available (Options::bucketed_digest = false) and its responder also
-//    uses the per-shard bucket hashes to skip matching regions of the
-//    keyspace.
+//    peer, scoped tighter at each round: round 0 ships one roll-up hash per
+//    hosted logical shard (tagged ShardDigest); the receiver answers with
+//    that shard's B bucket hashes for mismatched shards only (BucketDigest);
+//    the initiator replies with per-key digests for mismatched buckets only
+//    (bucket-scoped DigestRequest); the receiver back-fills just those keys
+//    from VersionsAfter. An in-sync tick therefore costs S hashes, and a
+//    diff confined to one shard never hashes or walks the cold shards.
+//    Messages outside that shape (a ShardDigest whose tags and hashes
+//    differ in length, a DigestRequest with no buckets) are dropped.
 //
 // The engine owns no sockets and installs nothing itself: messages leave via
 // a SendFn callback and incoming records are handed to an InstallFn, so the
@@ -56,9 +54,8 @@ struct AntiEntropyStats {
   uint64_t dedupe_rotations = 0;
   /// Digest-sync rounds initiated.
   uint64_t digest_ticks = 0;
-  /// Per-key digest entries shipped (both directions we sent). The bucketed
-  /// protocol keeps this proportional to the diff; the flat protocol pays
-  /// one entry per key per tick.
+  /// Per-key digest entries shipped (both directions we sent); proportional
+  /// to the diff, not the keyspace.
   uint64_t digest_entries_out = 0;
   /// Wire bytes of digest-protocol messages sent (hashes + entries).
   uint64_t digest_bytes_out = 0;
@@ -79,12 +76,6 @@ class AntiEntropyEngine {
     /// Batches flush when either cap is hit, so a repair of few huge values
     /// cannot emit one enormous message.
     size_t batch_max_bytes = 64 * 1024;
-    /// Use the sharded bucketed digest protocol (round 0: per-shard roll-up
-    /// hashes; round 1: bucket hashes for mismatched shards; round 2:
-    /// per-key digests for mismatched buckets only). Defaults off at the
-    /// engine layer to preserve the legacy flat wire protocol for direct
-    /// users; ServerOptions turns it on for the replica data plane.
-    bool bucketed_digest = false;
     /// False disables the push outboxes entirely (Enqueue becomes a no-op
     /// and no flush timer runs) — used to exercise digest repair alone.
     bool push_enabled = true;
@@ -135,11 +126,10 @@ class AntiEntropyEngine {
     inflight_.erase(ack.batch_id);
   }
 
-  /// Answers a peer's digest with the versions it is missing, and — on the
-  /// initiating round — with our own digest when the peer has data we lack.
-  /// Scoped requests (req.buckets non-empty) are answered within those
-  /// buckets of req.shard only; flat requests use the peer's recomputed
-  /// per-shard bucket hashes to skip matching regions of the keyspace.
+  /// Round 2 of sharded repair: answers a peer's bucket-scoped digest with
+  /// the versions it is missing within those buckets of req.shard, and — on
+  /// the initiating round — with our own digest for the same buckets when
+  /// the peer has data we lack. Requests with no buckets are dropped.
   void HandleDigest(const net::DigestRequest& req, net::NodeId from);
 
   /// Round 1 of sharded repair: compare the peer's bucket hashes for one
@@ -150,6 +140,7 @@ class AntiEntropyEngine {
   /// Round 0 of sharded repair: compare the initiator's per-shard roll-up
   /// hashes with ours and reply with our BucketDigest for each mismatched
   /// shard — cold shards drop out before any bucket hash is computed.
+  /// Digests whose shard tags and hashes differ in length are dropped.
   void HandleShardDigest(const net::ShardDigest& digest, net::NodeId from);
 
   /// Drops all volatile gossip state (crash). Stats survive.

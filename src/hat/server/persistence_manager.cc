@@ -290,20 +290,6 @@ Status PersistenceManager::RecoverShard(
 }
 
 Status PersistenceManager::Recover(
-    size_t shard_count,
-    const std::function<void(size_t shard, const WriteRecord&)>& good,
-    const std::function<void(size_t shard, const WriteRecord&)>& pending) {
-  if (!disk_) return Status::Unsupported("server has no storage directory");
-  stats_ = {};  // recover_stats() describes the most recent full recovery
-  for (size_t s = 0; s < shard_count; s++) {
-    HAT_RETURN_IF_ERROR(RecoverShard(
-        s, [&good, s](const WriteRecord& w) { good(s, w); },
-        [&pending, s](const WriteRecord& w) { pending(s, w); }));
-  }
-  return Status::Ok();
-}
-
-Status PersistenceManager::Recover(
     const std::vector<uint32_t>& shards,
     const std::function<void(size_t shard, const WriteRecord&)>& good,
     const std::function<void(size_t shard, const WriteRecord&)>& pending) {

@@ -153,14 +153,9 @@ class PersistenceManager {
                       const std::function<void(const WriteRecord&)>& good,
                       const std::function<void(const WriteRecord&)>& pending);
 
-  /// Replays shards [0, shard_count): RecoverShard per shard, callbacks
-  /// receiving the shard index each record was persisted under.
-  Status Recover(
-      size_t shard_count,
-      const std::function<void(size_t shard, const WriteRecord&)>& good,
-      const std::function<void(size_t shard, const WriteRecord&)>& pending);
-
-  /// Replays exactly the listed logical shards (the manifest's owned set).
+  /// Replays exactly the listed logical shards (the manifest's owned set):
+  /// RecoverShard per shard, callbacks receiving the logical shard each
+  /// record was persisted under.
   Status Recover(
       const std::vector<uint32_t>& shards,
       const std::function<void(size_t shard, const WriteRecord&)>& good,

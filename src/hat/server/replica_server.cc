@@ -54,8 +54,8 @@ ReplicaServer::ReplicaServer(sim::Simulation& sim, net::Network& net,
           AntiEntropyEngine::Options{
               options_.ae_flush_interval, options_.ae_retry_interval,
               options_.digest_sync_interval, options_.ae_batch_max,
-              options_.ae_batch_max_bytes, options_.ae_bucketed_digest,
-              options_.ae_push_enabled, options_.ae_shard_lane_batching},
+              options_.ae_batch_max_bytes, options_.ae_push_enabled,
+              options_.ae_shard_lane_batching},
           [this](net::NodeId to, Message m, obs::TraceContext t) {
             SendOneWay(to, std::move(m), t);
           },
@@ -103,8 +103,7 @@ ReplicaServer::ReplicaServer(sim::Simulation& sim, net::Network& net,
     if (manifest.ok() &&
         manifest->shards_per_server == options_.shards_per_server &&
         manifest->stride == options_.shard_placement_stride) {
-      if (!options_.owned_logical_shards.empty() &&
-          manifest->owned != options_.owned_logical_shards) {
+      if (manifest->owned != CurrentOwned()) {
         good_ = version::ShardedStore(StoreOptions(manifest->owned));
         for (size_t s = options_.shards_per_server;
              s < good_.shard_count(); s++) {
@@ -126,7 +125,6 @@ void ReplicaServer::EnsureLaneForSlot(size_t slot) {
 
 std::vector<uint32_t> ReplicaServer::CurrentOwned() const {
   std::vector<uint32_t> owned;
-  if (!good_.explicit_placement()) return owned;
   for (size_t s = 0; s < good_.shard_count(); s++) {
     uint32_t tag = good_.LogicalTagOfSlot(s);
     if (tag != version::ShardedStore::kNoShard) owned.push_back(tag);
@@ -293,12 +291,10 @@ const std::vector<ShardExecutor::Work>& ReplicaServer::PlanFor(
           [&](const net::DigestRequest& digest) {
             double cost = c.ae_batch_us + c.per_kb_us * kb +
                           0.2 * static_cast<double>(digest.latest.size());
-            // Bucket-scoped requests walk (and back-fill from) one shard;
-            // flat digests span the whole store. digest.shard is a logical
-            // shard tag — resolve it to the hosting slot's lane.
-            std::optional<size_t> slot =
-                digest.buckets.empty() ? std::optional<size_t>()
-                                       : good_.SlotOfLogical(digest.shard);
+            // Bucket-scoped requests walk (and back-fill from) one shard.
+            // digest.shard is a logical shard tag — resolve it to the
+            // hosting slot's lane.
+            auto slot = good_.SlotOfLogical(digest.shard);
             add(slot ? LaneOfSlot(*slot) : global, cost);
           },
           [&](const net::BucketDigest& bd) {
@@ -712,9 +708,7 @@ void ReplicaServer::Crash() {
   // refill it even on a server with no durable storage, and routing (which
   // still points here) never strands the shard. The data itself is
   // restored by RecoverFromStorage or by anti-entropy.
-  std::vector<uint32_t> owned = CurrentOwned();
-  if (owned.empty()) owned = options_.owned_logical_shards;
-  good_ = version::ShardedStore(StoreOptions(std::move(owned)));
+  good_ = version::ShardedStore(StoreOptions(CurrentOwned()));
   mav_.Clear();
   anti_entropy_.Clear();
   locks_.Clear();
@@ -732,37 +726,18 @@ Status ReplicaServer::CheckpointStorage() {
   }
   uint64_t epoch = partitioner_ ? partitioner_->PlacementEpoch() : 0;
   // Checkpoints are keyed by *logical* shard id, matching PersistGood's
-  // keyspace. Explicit placement checkpoints the hosted tags; implicit
-  // placement hosts every logical shard, stride of them per slot.
-  std::vector<uint32_t> owned = CurrentOwned();
-  if (owned.empty()) {
-    owned.reserve(good_.num_logical_shards());
-    for (uint64_t l = 0; l < good_.num_logical_shards(); l++) {
-      owned.push_back(static_cast<uint32_t>(l));
-    }
-  }
-  size_t stride = good_.num_logical_shards() / good_.shard_count();
-  for (uint32_t shard : owned) {
-    size_t slot;
-    if (good_.explicit_placement()) {
-      auto s = good_.SlotOfLogical(shard);
-      if (!s) continue;
-      slot = *s;
-    } else {
-      slot = stride == 0 ? 0 : shard / stride;
-    }
+  // keyspace; each hosted slot holds exactly one logical shard.
+  size_t checkpointed = 0;
+  for (size_t slot = 0; slot < good_.shard_count(); slot++) {
+    uint32_t shard = good_.LogicalTagOfSlot(slot);
+    if (shard == version::ShardedStore::kNoShard) continue;
     Status status = persistence_.CheckpointShard(
         shard, epoch,
-        [this, shard, slot](const std::function<void(const WriteRecord&)>&
-                                sink) {
-          // In explicit mode a slot holds exactly one logical shard and the
-          // filter never rejects; in implicit mode the slot interleaves
-          // `stride` logical shards and the filter splits them.
-          good_.shard(slot).ForEachVersion([&](const WriteRecord& w) {
-            if (good_.LogicalShardOfKey(w.key) == shard) sink(w);
-          });
+        [this, slot](const std::function<void(const WriteRecord&)>& sink) {
+          good_.shard(slot).ForEachVersion(sink);
         });
     if (!status.ok()) return status;
+    checkpointed++;
   }
   if (tracer_ != nullptr && tracer_->enabled()) {
     // Timeline annotation, not part of any sampled txn (trace_id 0): marks
@@ -772,7 +747,7 @@ Status ReplicaServer::CheckpointStorage() {
     s.node = id();
     s.start_us = sim_.Now();
     s.end_us = sim_.Now();
-    s.arg = owned.size();
+    s.arg = checkpointed;
     tracer_->Record(s);
   }
   return Status::Ok();
@@ -790,35 +765,24 @@ Status ReplicaServer::RecoverFromStorage() {
   // shards in or out before the crash recovers at its post-migration
   // shape.
   auto manifest = persistence_.ReadManifest();
-  std::vector<uint32_t> owned;
-  if (manifest.ok()) {
-    if (manifest->shards_per_server != options_.shards_per_server ||
-        manifest->stride != options_.shard_placement_stride) {
-      return Status::Corruption(
-          "persistence manifest mismatch: keyspace written under " +
-          std::to_string(manifest->shards_per_server) + " shards/server, " +
-          "stride " + std::to_string(manifest->stride) + "; server runs " +
-          std::to_string(options_.shards_per_server) + "/" +
-          std::to_string(options_.shard_placement_stride));
-    }
-    // (manifest->epoch is informational: a recovering server may lag or —
-    // across full-deployment restarts, where the in-memory PlacementMap is
-    // reborn at 0 — lead the cluster's epoch; neither blocks replaying
-    // data whose layout matches.)
-    owned = manifest->owned;
-    if (!options_.owned_logical_shards.empty() && owned != CurrentOwned()) {
-      good_ = version::ShardedStore(StoreOptions(owned));
-      for (size_t s = 0; s < good_.shard_count(); s++) EnsureLaneForSlot(s);
-    }
-  } else if (manifest.status().IsNotFound()) {
-    // Pre-manifest directory: its records were keyed by *local slot index*
-    // (the historical keyspace), so replay those prefixes; records re-route
-    // by key below.
-    for (size_t s = 0; s < good_.shard_count(); s++) {
-      owned.push_back(static_cast<uint32_t>(s));
-    }
-  } else {
-    return manifest.status();  // unreadable manifest over live data: refuse
+  if (!manifest.ok()) return manifest.status();  // missing or unreadable
+  if (manifest->shards_per_server != options_.shards_per_server ||
+      manifest->stride != options_.shard_placement_stride) {
+    return Status::Corruption(
+        "persistence manifest mismatch: keyspace written under " +
+        std::to_string(manifest->shards_per_server) + " shards/server, " +
+        "stride " + std::to_string(manifest->stride) + "; server runs " +
+        std::to_string(options_.shards_per_server) + "/" +
+        std::to_string(options_.shard_placement_stride));
+  }
+  // (manifest->epoch is informational: a recovering server may lag or —
+  // across full-deployment restarts, where the in-memory PlacementMap is
+  // reborn at 0 — lead the cluster's epoch; neither blocks replaying data
+  // whose layout matches.)
+  const std::vector<uint32_t>& owned = manifest->owned;
+  if (owned != CurrentOwned()) {
+    good_ = version::ShardedStore(StoreOptions(owned));
+    for (size_t s = 0; s < good_.shard_count(); s++) EnsureLaneForSlot(s);
   }
   // Shard-by-shard replay of only the shards this server hosts. Good
   // (revealed) versions re-enter directly (re-routed by key, so records

@@ -14,8 +14,8 @@
 //                         detach + tombstone), driven by the cluster-level
 //                         RebalanceCoordinator.
 //
-// Placement-aware serving: when ServerOptions::owned_logical_shards is set
-// (deployments), the server knows exactly which logical shards it hosts.
+// Placement-aware serving: the server knows exactly which logical shards it
+// hosts (ServerOptions::owned_logical_shards, filled by deployments).
 // An operation for a shard that migrated away is answered kWrongShard so a
 // stale-epoch client refreshes its routing and retries at the new owner;
 // late anti-entropy records for such a shard are re-pushed ("forwarded")
@@ -84,11 +84,11 @@ struct ServerOptions {
   /// set this to servers_per_cluster so server- and shard-level hash
   /// placement compose; standalone servers leave it at 1.
   size_t shard_placement_stride = 1;
-  /// Explicit logical-shard ownership (size shards_per_server, one logical
-  /// shard id per local slot). Deployments fill it from the PlacementMap so
-  /// servers can detect keys they do not own (kWrongShard after a live
-  /// migration); empty keeps the historical implicit stride arithmetic,
-  /// under which every key is owned.
+  /// Logical-shard ownership (size shards_per_server, one logical shard id
+  /// per local slot). Deployments fill it from the PlacementMap so servers
+  /// can detect keys they do not own (kWrongShard after a live migration);
+  /// empty selects the epoch-0 layout of cluster slot 0
+  /// (ShardedStore::Options::logical_shards).
   std::vector<uint32_t> owned_logical_shards;
   /// Stop-and-wait resend timeout for migration snapshot chunks.
   sim::Duration migration_chunk_timeout = 500 * sim::kMillisecond;
@@ -115,10 +115,6 @@ struct ServerOptions {
   /// push outbox was lost to a crash. 0 disables (benchmarks use push-only
   /// anti-entropy).
   sim::Duration digest_sync_interval = 0;
-  /// Use the two-round bucketed digest protocol (round 1: B bucket hashes;
-  /// round 2: per-key digests for mismatched buckets only). False falls back
-  /// to the flat all-keys digest.
-  bool ae_bucketed_digest = true;
   /// False disables the anti-entropy push outboxes (writes propagate via
   /// digest repair only) — used by tests that exercise repair in isolation.
   bool ae_push_enabled = true;
@@ -373,7 +369,7 @@ class ReplicaServer : public net::RpcNode {
 
   /// True when this server currently serves client operations on `key`: it
   /// owns the key's logical shard and the shard is not a migration staging
-  /// copy. Implicit-placement servers serve every key.
+  /// copy.
   bool ServesKey(const Key& key) const {
     auto slot = good_.TrySlotOfKey(key);
     return slot.has_value() && !migrator_.IsStagingSlot(*slot);
@@ -381,14 +377,13 @@ class ReplicaServer : public net::RpcNode {
   /// Grows the executor so `slot` (a freshly attached staging shard) has a
   /// lane.
   void EnsureLaneForSlot(size_t slot);
-  /// The logical shard tags the store currently hosts, in slot order
-  /// (empty for implicit-placement stores).
+  /// The logical shard tags the store currently hosts, in slot order.
   std::vector<uint32_t> CurrentOwned() const;
   /// Rewrites the durable placement manifest from the store's current
   /// ownership (no-op without a storage directory).
   void WriteManifestFromState();
   /// Builds the ShardedStore options for this server's configuration, with
-  /// `owned` as the explicit slot layout (empty = implicit).
+  /// `owned` as the slot layout (empty = epoch-0 layout of cluster slot 0).
   version::ShardedStore::Options StoreOptions(
       std::vector<uint32_t> owned) const;
 

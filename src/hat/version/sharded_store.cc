@@ -13,37 +13,32 @@ ShardedStore::ShardedStore(Options options)
                    ? options.num_logical_shards
                    : (options.shards == 0 ? 1 : options.shards) * stride_),
       digest_buckets_(options.digest_buckets),
-      explicit_(!options.logical_shards.empty()) {
+      slot_logical_(std::move(options.logical_shards)) {
   size_t shards = options.shards == 0 ? 1 : options.shards;
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; i++) {
     shards_.emplace_back(options.digest_buckets);
   }
-  if (explicit_) {
-    assert(options.logical_shards.size() == shards &&
-           "one logical shard id per slot");
-    slot_logical_ = options.logical_shards;
-    for (size_t i = 0; i < slot_logical_.size(); i++) {
-      assert(slot_logical_[i] < modulus_);
-      slot_of_logical_.emplace(slot_logical_[i], i);
+  if (slot_logical_.empty()) {
+    for (size_t i = 0; i < shards; i++) {
+      slot_logical_.push_back(static_cast<uint32_t>(i * stride_));
     }
-    // Epoch-0 deployments hand slot i the logical shard base + i*stride
-    // (base = the server's cluster slot); recognize the pattern so the
-    // unmigrated hot path keeps the old pure-arithmetic slot-of-key.
-    stride_pattern_ = slot_logical_[0] < stride_;
-    for (size_t i = 1; stride_pattern_ && i < slot_logical_.size(); i++) {
-      stride_pattern_ =
-          slot_logical_[i] == slot_logical_[0] + i * stride_;
-    }
+  }
+  assert(slot_logical_.size() == shards && "one logical shard id per slot");
+  for (size_t i = 0; i < slot_logical_.size(); i++) {
+    assert(slot_logical_[i] < modulus_);
+    slot_of_logical_.emplace(slot_logical_[i], i);
+  }
+  // Epoch-0 deployments hand slot i the logical shard base + i*stride
+  // (base = the server's cluster slot); recognize the pattern so the
+  // unmigrated hot path keeps a pure-arithmetic slot-of-key.
+  stride_pattern_ = slot_logical_[0] < stride_;
+  for (size_t i = 1; stride_pattern_ && i < slot_logical_.size(); i++) {
+    stride_pattern_ = slot_logical_[i] == slot_logical_[0] + i * stride_;
   }
 }
 
 size_t ShardedStore::ShardIndexOf(const Key& key) const {
-  if (!explicit_) {
-    if (shards_.size() == 1) return 0;  // skip the hash on unsharded stores
-    return static_cast<size_t>(
-        (Fnv1a64(key.data(), key.size()) % modulus_) / stride_);
-  }
   auto slot = TrySlotOfKey(key);
   assert(slot && "ShardIndexOf on a key this store does not own");
   return *slot;
@@ -54,9 +49,6 @@ uint32_t ShardedStore::LogicalShardOfKey(const Key& key) const {
 }
 
 std::optional<size_t> ShardedStore::TrySlotOfKey(const Key& key) const {
-  if (!explicit_) {
-    return shards_.size() == 1 ? 0 : ShardIndexOf(key);
-  }
   uint32_t logical = LogicalShardOfKey(key);
   if (stride_pattern_) {
     // Arithmetic fast path: candidate slot = l / stride, valid iff that slot
@@ -71,23 +63,13 @@ std::optional<size_t> ShardedStore::TrySlotOfKey(const Key& key) const {
   return SlotOfLogical(logical);
 }
 
-uint32_t ShardedStore::LogicalTagOfSlot(size_t i) const {
-  if (!explicit_) return static_cast<uint32_t>(i);
-  return slot_logical_[i];
-}
-
 std::optional<size_t> ShardedStore::SlotOfLogical(uint32_t logical) const {
-  if (!explicit_) {
-    return logical < shards_.size() ? std::optional<size_t>(logical)
-                                    : std::nullopt;
-  }
   auto it = slot_of_logical_.find(logical);
   if (it == slot_of_logical_.end()) return std::nullopt;
   return it->second;
 }
 
 size_t ShardedStore::AttachShard(uint32_t logical) {
-  assert(explicit_ && "AttachShard requires explicit placement mode");
   assert(logical < modulus_);
   if (auto slot = SlotOfLogical(logical)) return *slot;
   shards_.emplace_back(digest_buckets_);
@@ -100,7 +82,6 @@ size_t ShardedStore::AttachShard(uint32_t logical) {
 }
 
 void ShardedStore::DetachShard(uint32_t logical) {
-  assert(explicit_ && "DetachShard requires explicit placement mode");
   auto slot = SlotOfLogical(logical);
   if (!slot) return;
   shards_[*slot] = VersionedStore(digest_buckets_);
@@ -137,15 +118,6 @@ std::vector<std::pair<Key, ReadVersion>> ShardedStore::Scan(
   std::vector<std::pair<Key, ReadVersion>> out;
   ScanVisit(lo, hi, bound, [&out](const Key& key, ReadVersion rv) {
     out.emplace_back(key, std::move(rv));
-  });
-  return out;
-}
-
-std::vector<std::pair<Key, Timestamp>> ShardedStore::Digest() const {
-  std::vector<std::pair<Key, Timestamp>> out;
-  out.reserve(KeyCount());
-  ForEachLatest([&out](const Key& key, const Timestamp& ts) {
-    out.emplace_back(key, ts);
   });
   return out;
 }

@@ -14,31 +14,25 @@
 // Shard-of-key uses the same FNV hash the cluster partitioner uses, via a
 // placement stride so server-level and shard-level hashing compose: with
 // L = shards x stride logical shards, a key's logical shard is
-// Fnv1a64(key) % L, and this store holds the local index (l / stride).
-// A cluster::Deployment sets stride = servers_per_cluster, which keeps the
-// *server* owning a key (l % stride == Fnv1a64(key) % stride) independent of
-// the shard count — raising shards_per_server never moves keys between
-// servers, it only splits them locally. Standalone stores use stride = 1
-// (plain Fnv1a64(key) % shards). Replicas of the same keys must agree on
-// both shard count and stride: shard identity is part of the digest-repair
-// wire protocol.
+// Fnv1a64(key) % L. A cluster::Deployment sets stride = servers_per_cluster,
+// which keeps the *server* owning a key (l % stride == Fnv1a64(key) % stride)
+// independent of the shard count — raising shards_per_server never moves
+// keys between servers, it only splits them locally. Replicas of the same
+// keys must agree on the shard count and stride: logical shard identity is
+// part of the digest-repair wire protocol.
 //
-// Two addressing modes:
-//
-//  * Implicit (Options::logical_shards empty, the historical behaviour):
-//    local slot of a key is (Fnv1a64(key) % L) / stride; every key is
-//    "owned". Attach/Detach are unavailable.
-//  * Explicit (logical_shards lists the logical shard id each slot hosts,
-//    the mode cluster::Deployment uses): slot-of-key is a lookup through
-//    the owned-logical-shard table, unowned keys are detectable
-//    (TrySlotOfKey/OwnsKey), and live shard migration can AttachShard a
-//    logical shard this server is receiving or DetachShard one it handed
-//    away. Slots are never renumbered: a detached slot stays as an empty
-//    placeholder so slot indices (and the executor lanes derived from
-//    them) remain stable for the server's lifetime. When the slot layout
-//    matches the epoch-0 stride pattern, slot-of-key resolves with the
-//    same arithmetic as implicit mode (one vector probe to confirm), so
-//    the non-migrated hot path stays O(1) with no hash-map lookup.
+// Every store is explicitly placed: Options::logical_shards lists the
+// logical shard id each local slot hosts, and an empty list means the
+// epoch-0 layout of cluster slot 0, {0, stride, 2*stride, ...} (at stride 1,
+// every key). Slot-of-key is a lookup through the owned-logical-shard table,
+// unowned keys are detectable (TrySlotOfKey/OwnsKey), and live shard
+// migration can AttachShard a logical shard this server is receiving or
+// DetachShard one it handed away. Slots are never renumbered: a detached
+// slot stays as an empty placeholder so slot indices (and the executor lanes
+// derived from them) remain stable for the server's lifetime. While the slot
+// layout matches the epoch-0 stride pattern, slot-of-key resolves with pure
+// arithmetic (l / stride, one vector probe to confirm), so the
+// non-migrated hot path stays O(1) with no hash-map lookup.
 
 #ifndef HAT_VERSION_SHARDED_STORE_H_
 #define HAT_VERSION_SHARDED_STORE_H_
@@ -66,8 +60,9 @@ class ShardedStore {
     /// Placement stride (see file comment); 1 for standalone stores,
     /// servers_per_cluster under a Deployment.
     size_t stride = 1;
-    /// Explicit mode: the logical shard id each local slot hosts (size must
-    /// equal `shards`). Empty selects implicit stride arithmetic.
+    /// The logical shard id each local slot hosts (size must equal
+    /// `shards`). Empty selects the epoch-0 layout of cluster slot 0:
+    /// slot i hosts logical shard i * stride.
     std::vector<uint32_t> logical_shards;
     /// Logical shards per cluster copy (the key-hash modulus). 0 derives
     /// shards x stride — correct for the epoch-0 layout, but a server
@@ -91,10 +86,6 @@ class ShardedStore {
   VersionedStore& shard(size_t i) { return shards_[i]; }
   const VersionedStore& shard(size_t i) const { return shards_[i]; }
 
-  /// True when constructed with an explicit logical slot layout (the mode
-  /// deployments use; enables migration and unowned-key detection).
-  bool explicit_placement() const { return explicit_; }
-
   /// Logical shards per cluster copy this store partitions against
   /// (shards x stride at construction; fixed across Attach/Detach).
   uint64_t num_logical_shards() const { return modulus_; }
@@ -103,22 +94,19 @@ class ShardedStore {
   uint32_t LogicalShardOfKey(const Key& key) const;
 
   /// Slot hosting `key`, or nullopt when this store does not own the key's
-  /// logical shard (explicit mode only; implicit stores own every key).
+  /// logical shard.
   std::optional<size_t> TrySlotOfKey(const Key& key) const;
   bool OwnsKey(const Key& key) const { return TrySlotOfKey(key).has_value(); }
 
-  /// Logical shard id slot `i` hosts — kNoShard for a detached slot. In
-  /// implicit mode the slot index doubles as the tag (replicas configured
-  /// identically agree on it, which is all the digest protocol needs).
-  uint32_t LogicalTagOfSlot(size_t i) const;
-  /// Slot hosting logical shard (or tag) `logical`, if any.
+  /// Logical shard id slot `i` hosts — kNoShard for a detached slot.
+  uint32_t LogicalTagOfSlot(size_t i) const { return slot_logical_[i]; }
+  /// Slot hosting logical shard `logical`, if any.
   std::optional<size_t> SlotOfLogical(uint32_t logical) const;
 
-  /// Explicit mode only: adds (or finds) a slot for `logical` and returns
-  /// its index. Used by shard migration to stage an incoming shard; the new
+  /// Adds (or finds) a slot for `logical` and returns its index. Used by shard migration to stage an incoming shard; the new
   /// slot appends after all existing slots.
   size_t AttachShard(uint32_t logical);
-  /// Explicit mode only: empties `logical`'s slot and unmaps it. The slot
+  /// Empties `logical`'s slot and unmaps it. The slot
   /// itself remains (indices are stable); keys of that shard become
   /// unowned. No-op if the shard is not hosted.
   void DetachShard(uint32_t logical);
@@ -215,8 +203,6 @@ class ShardedStore {
       const Key& lo, const Key& hi,
       std::optional<Timestamp> bound = std::nullopt) const;
 
-  /// Flat (key, latest-ts) digest over every shard.
-  std::vector<std::pair<Key, Timestamp>> Digest() const;
   template <class Fn>
   void ForEachLatest(Fn&& fn) const {
     for (const VersionedStore& s : shards_) s.ForEachLatest(fn);
@@ -244,10 +230,6 @@ class ShardedStore {
   const VersionedStore& ShardFor(const Key& key) const {
     return shards_[ShardIndexOf(key)];
   }
-  /// True while the explicit slot layout still matches the epoch-0 stride
-  /// pattern, enabling arithmetic slot-of-key with one confirming probe.
-  bool StridePatternIntact() const { return stride_pattern_; }
-
   template <class Fn>
   void ScanVisitShardedImpl(const Key& lo, const Key& hi,
                             const std::optional<Timestamp>& bound,
@@ -296,11 +278,10 @@ class ShardedStore {
   uint64_t stride_;
   uint64_t modulus_;  // logical shards (shards x stride at construction)
   size_t digest_buckets_;
-  bool explicit_ = false;
-  bool stride_pattern_ = false;  // explicit layout == {base + i*stride}
+  bool stride_pattern_ = false;  // layout == {base + i*stride}
   std::vector<VersionedStore> shards_;
-  std::vector<uint32_t> slot_logical_;  // explicit: tag per slot (kNoShard ok)
-  std::unordered_map<uint32_t, size_t> slot_of_logical_;  // explicit only
+  std::vector<uint32_t> slot_logical_;  // tag per slot (kNoShard ok)
+  std::unordered_map<uint32_t, size_t> slot_of_logical_;
 };
 
 }  // namespace hat::version

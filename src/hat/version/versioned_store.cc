@@ -30,10 +30,6 @@ uint64_t VersionedStore::DigestEntryHashParts(uint64_t key_hash,
   return Fnv1a64(parts, sizeof(parts));
 }
 
-uint64_t VersionedStore::DigestEntryHash(const Key& key, const Timestamp& ts) {
-  return DigestEntryHashParts(Fnv1a64(key.data(), key.size()), ts);
-}
-
 size_t VersionedStore::LowerBoundIdx(const KeyState& st, const Timestamp& ts) {
   auto it = std::lower_bound(
       st.versions.begin(), st.versions.end(), ts,
@@ -336,15 +332,6 @@ std::vector<WriteRecord> VersionedStore::VersionsAfter(
     WriteRecord& w = out.emplace_back();
     MaterializeInto(key, st->versions[i], w);
   }
-  return out;
-}
-
-std::vector<std::pair<Key, Timestamp>> VersionedStore::Digest() const {
-  std::vector<std::pair<Key, Timestamp>> out;
-  out.reserve(states_.size());
-  ForEachLatestImpl([&out](const Key& key, const Timestamp& ts) {
-    out.emplace_back(key, ts);
-  });
   return out;
 }
 

@@ -145,12 +145,8 @@ class VersionedStore {
   std::vector<WriteRecord> VersionsAfter(const Key& key,
                                          const Timestamp& after) const;
 
-  /// All (key, latest timestamp) pairs — the flat digest exchanged by
-  /// legacy anti-entropy.
-  std::vector<std::pair<Key, Timestamp>> Digest() const;
-
-  /// Visitor form of Digest(): streams (key, latest timestamp) pairs without
-  /// copying keys. Hot path for periodic digest-sync ticks.
+  /// Streams every (key, latest timestamp) pair in key order without
+  /// copying keys.
   template <class Fn>
   void ForEachLatest(Fn&& fn) const {
     ForEachLatestImpl(fn);
@@ -190,11 +186,6 @@ class VersionedStore {
   /// Number of digest buckets this store was constructed with.
   size_t digest_buckets() const { return buckets_.size(); }
 
-  /// Digest bucket a key belongs to among `buckets` (stable hash of the key
-  /// bytes). Exposed statically so a digest receiver can bucket a *peer's*
-  /// flat digest without owning a store.
-  static size_t DigestBucketOf(const Key& key, size_t buckets);
-
   /// Digest bucket a key belongs to in this store.
   size_t BucketOf(const Key& key) const {
     return DigestBucketOf(key, buckets_.size());
@@ -229,11 +220,6 @@ class VersionedStore {
   size_t BucketKeyCount(size_t bucket) const {
     return buckets_[bucket].members.size();
   }
-
-  /// Hash contribution of one (key, latest-ts) digest entry; exposed so a
-  /// digest receiver can recompute a *peer's* bucket hashes from a flat
-  /// per-key digest and short-circuit matching buckets.
-  static uint64_t DigestEntryHash(const Key& key, const Timestamp& ts);
 
   // --------------------------------------------------------------------------
 
@@ -346,6 +332,10 @@ class VersionedStore {
   void InvalidateFold(const KeyState& st) const;
   static size_t FoldBytes(const ReadVersion& rv);
 
+  /// Digest bucket a key belongs to among `buckets` (stable hash of the key
+  /// bytes).
+  static size_t DigestBucketOf(const Key& key, size_t buckets);
+  /// Hash contribution of one (key, latest-ts) digest entry.
   static uint64_t DigestEntryHashParts(uint64_t key_hash, const Timestamp& ts);
   /// Re-points `key`'s digest entry from latest-ts `was` to `now` (either
   /// may be nullopt for absent), XOR-patching the bucket hash in O(1) and

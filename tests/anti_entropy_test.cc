@@ -19,6 +19,17 @@ struct Sent {
   net::Message msg;
 };
 
+/// The round-0 digest `store` advertises: one roll-up hash per hosted
+/// shard, each tagged with its logical shard id.
+net::ShardDigest TaggedDigestOf(const version::ShardedStore& store) {
+  net::ShardDigest digest;
+  for (size_t s = 0; s < store.shard_count(); s++) {
+    digest.shards.push_back(store.LogicalTagOfSlot(s));
+    digest.hashes.push_back(store.ShardTopHash(s));
+  }
+  return digest;
+}
+
 class AntiEntropyTest : public ::testing::Test {
  protected:
   static constexpr net::NodeId kSelf = 1;
@@ -41,6 +52,26 @@ class AntiEntropyTest : public ::testing::Test {
     w.value = "v";
     w.ts = {logical, 7};
     return w;
+  }
+
+  /// A round-2 request for shard 0 advertising `latest`, scoped to the
+  /// buckets those keys fall in (`extra_keys` widen the scope without
+  /// adding entries).
+  net::DigestRequest ScopedRequest(
+      std::vector<std::pair<Key, Timestamp>> latest,
+      const std::vector<Key>& extra_keys = {}) {
+    std::set<uint32_t> buckets;
+    for (const auto& [k, ts] : latest) {
+      buckets.insert(static_cast<uint32_t>(good_.shard(0).BucketOf(k)));
+    }
+    for (const Key& k : extra_keys) {
+      buckets.insert(static_cast<uint32_t>(good_.shard(0).BucketOf(k)));
+    }
+    net::DigestRequest req;
+    req.latest = std::move(latest);
+    req.shard = good_.LogicalTagOfSlot(0);
+    req.buckets.assign(buckets.begin(), buckets.end());
+    return req;
   }
 
   std::vector<const net::AntiEntropyBatch*> SentBatches() {
@@ -147,8 +178,7 @@ TEST_F(AntiEntropyTest, DigestAnswersOnlyMissingVersions) {
   good_.Apply(shared);
   good_.Apply(newer);
   // Peer advertises: same version of "a", older version of "b".
-  net::DigestRequest req;
-  req.latest = {{"a", {10, 7}}, {"b", {5, 7}}};
+  net::DigestRequest req = ScopedRequest({{"a", {10, 7}}, {"b", {5, 7}}});
   req.reply_allowed = true;
   engine_->HandleDigest(req, kPeer);
   auto batches = SentBatches();
@@ -162,9 +192,9 @@ TEST_F(AntiEntropyTest, DigestReverseRoundWhenInitiatorHasMore) {
   MakeEngine();
   good_.Apply(MakeWrite("a", 10));
   // Peer advertises a key we lack entirely: we respond with our own digest
-  // (reply_allowed=false) so it pushes the difference back — one round only.
-  net::DigestRequest req;
-  req.latest = {{"z", {30, 7}}};
+  // (reply_allowed=false) for the same buckets so it pushes the difference
+  // back — one round only.
+  net::DigestRequest req = ScopedRequest({{"z", {30, 7}}}, {"a"});
   req.reply_allowed = true;
   engine_->HandleDigest(req, kPeer);
   size_t digests = 0;
@@ -172,6 +202,10 @@ TEST_F(AntiEntropyTest, DigestReverseRoundWhenInitiatorHasMore) {
     if (const auto* d = std::get_if<net::DigestRequest>(&s.msg)) {
       EXPECT_FALSE(d->reply_allowed);
       EXPECT_EQ(s.to, kPeer);
+      EXPECT_EQ(d->shard, req.shard);
+      EXPECT_EQ(d->buckets, req.buckets);
+      ASSERT_EQ(d->latest.size(), 1u);
+      EXPECT_EQ(d->latest[0].first, "a");
       digests++;
     }
   }
@@ -187,8 +221,9 @@ TEST_F(AntiEntropyTest, DigestSyncTickTargetsAPeerReplica) {
   sim_.RunUntil(sim::kSecond);
   size_t digests = 0;
   for (const auto& s : sent_) {
-    if (std::holds_alternative<net::DigestRequest>(s.msg)) {
+    if (const auto* sd = std::get_if<net::ShardDigest>(&s.msg)) {
       EXPECT_NE(s.to, kSelf);
+      EXPECT_EQ(sd->shards.size(), sd->hashes.size()) << "every hash tagged";
       digests++;
     }
   }
@@ -208,7 +243,6 @@ TEST_F(AntiEntropyTest, DisabledPushNeverFlushes) {
 TEST_F(AntiEntropyTest, BucketedTickSendsShardHashesNotEntries) {
   AntiEntropyEngine::Options opts;
   opts.digest_sync_interval = 50 * sim::kMillisecond;
-  opts.bucketed_digest = true;
   MakeEngine(opts);
   engine_->Start();
   good_.Apply(MakeWrite("k", 10));
@@ -221,6 +255,7 @@ TEST_F(AntiEntropyTest, BucketedTickSendsShardHashesNotEntries) {
         << "round 0 ships shard summaries, not bucket hashes";
     if (const auto* sd = std::get_if<net::ShardDigest>(&s.msg)) {
       EXPECT_EQ(sd->hashes.size(), good_.shard_count());
+      EXPECT_EQ(sd->shards, TaggedDigestOf(good_).shards);
       shard_digests++;
     }
   }
@@ -233,7 +268,7 @@ TEST_F(AntiEntropyTest, MatchingShardHashesEndTheProtocol) {
   MakeEngine();
   good_.Apply(MakeWrite("k", 10));
   // A peer with identical state sends identical shard summaries: silence.
-  engine_->HandleShardDigest(net::ShardDigest{good_.ShardHashes()}, kPeer);
+  engine_->HandleShardDigest(TaggedDigestOf(good_), kPeer);
   EXPECT_TRUE(sent_.empty());
 }
 
@@ -250,12 +285,44 @@ TEST_F(AntiEntropyTest, MismatchedShardSummaryPullsItsBucketHashes) {
   MakeEngine();
   good_.Apply(MakeWrite("a", 10));
   version::ShardedStore peer;  // missing "a"
-  engine_->HandleShardDigest(net::ShardDigest{peer.ShardHashes()}, kPeer);
+  engine_->HandleShardDigest(TaggedDigestOf(peer), kPeer);
   ASSERT_EQ(sent_.size(), 1u);
   const auto* bd = std::get_if<net::BucketDigest>(&sent_[0].msg);
   ASSERT_NE(bd, nullptr);
   EXPECT_EQ(bd->shard, 0u);
   EXPECT_EQ(bd->hashes, good_.shard(0).BucketHashes());
+}
+
+TEST_F(AntiEntropyTest, ShardDigestWithUntaggedHashesIsDropped) {
+  MakeEngine();
+  good_.Apply(MakeWrite("a", 10));
+  version::ShardedStore peer;  // missing "a": a well-formed digest would
+                               // pull our bucket hashes
+  net::ShardDigest digest = TaggedDigestOf(peer);
+  // More hashes than tags (a frame the codec accepts): reading a tag for
+  // every hash would run past the end of `shards`.
+  digest.hashes.push_back(digest.hashes[0]);
+  engine_->HandleShardDigest(digest, kPeer);
+  // No tags at all (the retired untagged format).
+  engine_->HandleShardDigest(net::ShardDigest{peer.ShardHashes()}, kPeer);
+  EXPECT_TRUE(sent_.empty());
+  EXPECT_TRUE(installed_.empty());
+  EXPECT_EQ(engine_->stats().digest_bytes_out, 0u);
+}
+
+TEST_F(AntiEntropyTest, UnbucketedDigestRequestIsDropped) {
+  MakeEngine();
+  good_.Apply(MakeWrite("a", 10));
+  // The peer lacks "a" and has "z" we lack; without buckets the request
+  // names no scope, so it is neither answered nor reversed.
+  net::DigestRequest req;
+  req.latest = {{"z", {30, 7}}};
+  req.shard = good_.LogicalTagOfSlot(0);
+  req.reply_allowed = true;
+  engine_->HandleDigest(req, kPeer);
+  EXPECT_TRUE(sent_.empty());
+  EXPECT_TRUE(installed_.empty());
+  EXPECT_EQ(engine_->stats().records_out, 0u);
 }
 
 TEST_F(AntiEntropyTest, BucketDigestRepliesScopedToMismatchedBuckets) {
@@ -294,8 +361,7 @@ TEST_F(AntiEntropyTest, ScopedDigestBackfillsOnlyThoseBuckets) {
   good_.Apply(MakeWrite("a", 10));
   good_.Apply(MakeWrite("b", 20));
   // Bucket-scoped request for b's bucket from a peer that has nothing there.
-  net::DigestRequest req;
-  req.buckets = {static_cast<uint32_t>(good_.shard(0).BucketOf("b"))};
+  net::DigestRequest req = ScopedRequest({}, {"b"});
   engine_->HandleDigest(req, kPeer);
   auto batches = SentBatches();
   size_t shipped = 0;
@@ -310,8 +376,8 @@ TEST_F(AntiEntropyTest, ScopedDigestBackfillsOnlyThoseBuckets) {
 
 TEST_F(AntiEntropyTest, BucketedSyncTransmitsDiffNotDataset) {
   // The acceptance bar for the bucketed protocol: a sync over a 100k-key
-  // store with a 50-write diff must ship asymptotically fewer digest
-  // entries than the flat all-keys digest, while still repairing the diff.
+  // store with a 50-write diff must ship a small fraction of the keyspace
+  // as digest entries, while still repairing the diff.
   constexpr size_t kKeys = 100000;
   constexpr size_t kDiff = 50;
   MakeEngine();
@@ -331,13 +397,9 @@ TEST_F(AntiEntropyTest, BucketedSyncTransmitsDiffNotDataset) {
   ASSERT_EQ(sent_.size(), 1u);
   const auto& scoped = std::get<net::DigestRequest>(sent_[0].msg);
   EXPECT_EQ(engine_->stats().digest_entries_out, scoped.latest.size());
-  // Flat protocol ships one entry per key; bucketed ships only the
-  // mismatched buckets' populations (~ diff x keys-per-bucket).
+  // Only the mismatched buckets' populations ship (~ diff x
+  // keys-per-bucket), not one entry per key.
   EXPECT_LE(scoped.latest.size(), kKeys / 10);
-  EXPECT_LT(net::WireBytes(net::Message{scoped}) +
-                net::WireBytes(net::Message{net::BucketDigest{
-                    peer.shard(0).BucketHashes()}}),
-            net::WireBytes(net::Message{net::DigestRequest{good_.Digest()}}));
 
   // Round 2 (as the peer's engine would run it): feed the scoped digest to
   // an engine owning the peer store; it must back-fill exactly the diff.
@@ -433,12 +495,12 @@ TEST(ShardedAntiEntropyTest, HotShardRepairShipsThatShardsHashesOnly) {
       });
 
   // Round 0 (as the peer's tick would run): peer's shard summaries reach us.
-  ours_engine.HandleShardDigest(net::ShardDigest{peer.ShardHashes()}, 2);
+  ours_engine.HandleShardDigest(TaggedDigestOf(peer), 2);
   // Round 1: exactly one BucketDigest — the hot shard's — crosses the wire.
   ASSERT_EQ(ours_sent.size(), 1u);
   const auto* bd = std::get_if<net::BucketDigest>(&ours_sent[0].msg);
   ASSERT_NE(bd, nullptr);
-  EXPECT_EQ(bd->shard, hot);
+  EXPECT_EQ(bd->shard, ours.LogicalTagOfSlot(hot));
   EXPECT_EQ(bd->hashes.size(), kBuckets);
   // Cold shards never hash: total round-1 digest traffic is one shard's
   // bucket vector, not kShards of them.
@@ -452,7 +514,7 @@ TEST(ShardedAntiEntropyTest, HotShardRepairShipsThatShardsHashesOnly) {
   ASSERT_EQ(peer_sent.size(), 1u);
   const auto* scoped = std::get_if<net::DigestRequest>(&peer_sent[0].msg);
   ASSERT_NE(scoped, nullptr);
-  EXPECT_EQ(scoped->shard, hot);
+  EXPECT_EQ(scoped->shard, ours.LogicalTagOfSlot(hot));
   for (const auto& [k, ts] : scoped->latest) {
     EXPECT_EQ(peer.ShardIndexOf(k), hot) << k;
   }
@@ -486,7 +548,12 @@ TEST_F(AntiEntropyTest, DigestRepliesCappedByBytes) {
     w.value.assign(1024, 'x');
     good_.Apply(w);
   }
-  net::DigestRequest req;  // empty: the peer has nothing
+  // Every bucket of the shard, no entries: the peer has nothing.
+  net::DigestRequest req;
+  req.shard = good_.LogicalTagOfSlot(0);
+  for (size_t b = 0; b < good_.shard(0).digest_buckets(); b++) {
+    req.buckets.push_back(static_cast<uint32_t>(b));
+  }
   engine_->HandleDigest(req, kPeer);
   auto batches = SentBatches();
   ASSERT_GE(batches.size(), 4u);

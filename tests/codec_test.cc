@@ -164,11 +164,9 @@ void Fill(BucketDigest& m, Rng& rng) {
 }
 void Fill(ShardDigest& m, Rng& rng) {
   size_t n = rng.NextBelow(17);
-  for (size_t i = 0; i < n; i++) m.hashes.push_back(rng.NextUint64());
-  if (rng.NextBool(0.5)) {
-    for (size_t i = 0; i < n; i++) {
-      m.shards.push_back(static_cast<uint32_t>(rng.NextBelow(256)));
-    }
+  for (size_t i = 0; i < n; i++) {
+    m.hashes.push_back(rng.NextUint64());
+    m.shards.push_back(static_cast<uint32_t>(rng.NextBelow(256)));
   }
 }
 void Fill(LockRequest& m, Rng& rng) {

@@ -43,10 +43,11 @@ struct Recovered {
   std::vector<std::pair<size_t, WriteRecord>> pending;
 };
 
-Recovered Recover(PersistenceManager& pm, size_t shard_count = 1) {
+Recovered Recover(PersistenceManager& pm,
+                  const std::vector<uint32_t>& shards = {0}) {
   Recovered out;
   Status s = pm.Recover(
-      shard_count,
+      shards,
       [&](size_t shard, const WriteRecord& w) {
         out.good.emplace_back(shard, w);
       },
@@ -63,7 +64,7 @@ TEST(PersistenceManagerTest, DisabledManagerIsInert) {
   pm.PersistGood(0, MakeWrite("k", 1, "v"));  // must not crash
   pm.PersistPending(0, MakeWrite("k", 2, "v"));
   pm.ErasePersistedPending(0, MakeWrite("k", 2, "v"));
-  Status s = pm.Recover(1, [](size_t, const WriteRecord&) {},
+  Status s = pm.Recover({0}, [](size_t, const WriteRecord&) {},
                         [](size_t, const WriteRecord&) {});
   EXPECT_FALSE(s.ok());
 }
@@ -121,7 +122,7 @@ TEST(PersistenceManagerTest, RecoveryCallbacksMayPersistAgain) {
   // A pending record re-entering the MAV pipeline persists itself again
   // mid-recovery; the scan must not observe its own writes.
   size_t seen = 0;
-  Status s = pm.Recover(1, [](size_t, const WriteRecord&) {},
+  Status s = pm.Recover({0}, [](size_t, const WriteRecord&) {},
                         [&](size_t, const WriteRecord& w) {
                           seen++;
                           pm.PersistPending(0, w);
@@ -154,7 +155,7 @@ TEST(PersistenceManagerTest, ShardKeyspacesAreDisjoint) {
   EXPECT_EQ(shard1_good, (std::vector<Key>{"b"}));
   EXPECT_EQ(shard1_pending, (std::vector<Key>{"d"}));
 
-  Recovered all = Recover(pm, /*shard_count=*/3);
+  Recovered all = Recover(pm, {0, 1, 2});
   ASSERT_EQ(all.good.size(), 3u);
   for (const auto& [shard, w] : all.good) {
     if (w.key == "a") {
@@ -168,7 +169,7 @@ TEST(PersistenceManagerTest, ShardKeyspacesAreDisjoint) {
   ASSERT_EQ(all.pending.size(), 1u);
   EXPECT_EQ(all.pending[0].first, 1u);
   // A Recover scoped to fewer shards replays only those prefixes.
-  Recovered partial = Recover(pm, /*shard_count=*/1);
+  Recovered partial = Recover(pm, {0});
   ASSERT_EQ(partial.good.size(), 1u);
   EXPECT_EQ(partial.good[0].second.key, "a");
 }

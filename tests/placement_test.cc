@@ -118,9 +118,8 @@ Key KeyInShard(uint32_t want, uint64_t modulus, int salt = 0) {
 
 TEST(ShardedStoreExplicitTest, SlotOfKeyMatchesImplicitArithmetic) {
   // Explicit stride layout {1, 4, 7} (slot 1 of a 3-server cluster, 3
-  // shards/server) must address exactly like the implicit arithmetic.
+  // shards/server) must address exactly like the stride arithmetic.
   ShardedStore store = ExplicitStore({1, 4, 7}, 3);
-  EXPECT_TRUE(store.explicit_placement());
   EXPECT_EQ(store.num_logical_shards(), 9u);
   Rng rng(5);
   int owned_seen = 0;
@@ -131,7 +130,7 @@ TEST(ShardedStoreExplicitTest, SlotOfKeyMatchesImplicitArithmetic) {
     auto slot = store.TrySlotOfKey(key);
     if (logical % 3 == 1) {
       ASSERT_TRUE(slot.has_value()) << key;
-      EXPECT_EQ(*slot, logical / 3) << "implicit local index preserved";
+      EXPECT_EQ(*slot, logical / 3) << "stride local index preserved";
       owned_seen++;
     } else {
       EXPECT_FALSE(slot.has_value()) << key;
@@ -165,18 +164,22 @@ TEST(ShardedStoreExplicitTest, AttachAndDetachKeepSlotIndicesStable) {
   EXPECT_EQ(store.shard_count(), 4u);
 }
 
-TEST(ShardedStoreExplicitTest, ImplicitModeOwnsEveryKey) {
+TEST(ShardedStoreExplicitTest, EmptyLayoutIsClusterSlotZeroAtEpochZero) {
+  // No logical_shards: slot i hosts logical shard i * stride, exactly the
+  // layout a deployment hands server 0 of a cluster at epoch 0.
   ShardedStore::Options opts;
   opts.shards = 4;
   opts.stride = 2;
   ShardedStore store(opts);
-  EXPECT_FALSE(store.explicit_placement());
+  for (size_t i = 0; i < 4; i++) {
+    EXPECT_EQ(store.LogicalTagOfSlot(i), 2 * i);
+  }
   Rng rng(9);
   for (int i = 0; i < 1000; i++) {
     Key key = "k" + std::to_string(rng.NextUint64());
-    EXPECT_TRUE(store.OwnsKey(key));
-    EXPECT_EQ(store.ShardIndexOf(key),
-              (Fnv1a64(key.data(), key.size()) % 8) / 2);
+    uint64_t logical = Fnv1a64(key.data(), key.size()) % 8;
+    ASSERT_EQ(store.OwnsKey(key), logical % 2 == 0) << key;
+    if (store.OwnsKey(key)) EXPECT_EQ(store.ShardIndexOf(key), logical / 2);
   }
 }
 

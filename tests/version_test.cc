@@ -180,7 +180,10 @@ TEST(VersionedStoreTest, DigestListsLatestPerKey) {
   store.Apply(Put("a", "1", 1));
   store.Apply(Put("a", "2", 7));
   store.Apply(Put("b", "1", 3));
-  auto digest = store.Digest();
+  std::vector<std::pair<Key, Timestamp>> digest;
+  store.ForEachLatest([&digest](const Key& key, const Timestamp& ts) {
+    digest.emplace_back(key, ts);
+  });
   ASSERT_EQ(digest.size(), 2u);
   EXPECT_EQ(digest[0], (std::pair<Key, Timestamp>{"a", {7, 1}}));
   EXPECT_EQ(digest[1], (std::pair<Key, Timestamp>{"b", {3, 1}}));
@@ -495,16 +498,28 @@ TEST(ShardedStoreTest, RoutingPartitionsTheKeyspace) {
 }
 
 TEST(ShardedStoreTest, StrideComposesWithServerPlacement) {
-  // stride = servers-per-cluster: the local shard of a key must be
-  // (Fnv1a64 % (shards x stride)) / stride, and the server-level placement
-  // (Fnv1a64 % stride) must be untouched by the shard count.
+  // stride = servers-per-cluster: server `base` of a cluster hosts logical
+  // shards {base, base + stride, ...}. Exactly the server Fnv1a64 % stride
+  // must own a key — untouched by the shard count — and its local shard
+  // must be (Fnv1a64 % (shards x stride)) / stride.
   constexpr size_t kStride = 5, kShards = 3;
-  ShardedStore store(ShardedStore::Options{kShards, 64, kStride});
+  std::vector<ShardedStore> servers;
+  for (uint32_t base = 0; base < kStride; base++) {
+    ShardedStore::Options opts{kShards, 64, kStride};
+    for (uint32_t i = 0; i < kShards; i++) {
+      opts.logical_shards.push_back(base + i * kStride);
+    }
+    servers.emplace_back(opts);
+  }
   for (int i = 0; i < 300; i++) {
     Key key = "key" + std::to_string(i);
     uint64_t h = Fnv1a64(key.data(), key.size());
-    EXPECT_EQ(store.ShardIndexOf(key), (h % (kShards * kStride)) / kStride);
-    EXPECT_LT(store.ShardIndexOf(key), kShards);
+    for (size_t base = 0; base < kStride; base++) {
+      EXPECT_EQ(servers[base].OwnsKey(key), h % kStride == base) << key;
+    }
+    const ShardedStore& owner = servers[h % kStride];
+    EXPECT_EQ(owner.ShardIndexOf(key), (h % (kShards * kStride)) / kStride);
+    EXPECT_LT(owner.ShardIndexOf(key), kShards);
   }
 }
 
@@ -528,7 +543,7 @@ TEST(ShardedStoreTest, MatchesFlatStoreOnShuffledWriteStream) {
       std::swap(stream[i], stream[rng.NextBelow(i + 1)]);
     }
     VersionedStore flat;
-    ShardedStore sharded(ShardedStore::Options{4, 32, 3});
+    ShardedStore sharded(ShardedStore::Options{4, 32, 1});
     for (const auto& w : stream) {
       flat.Apply(w);
       sharded.Apply(w);
