@@ -97,22 +97,6 @@ std::vector<uint64_t> ShardedStore::ShardHashes() const {
   return out;
 }
 
-void ShardedStore::ScanVisit(
-    const Key& lo, const Key& hi, std::optional<Timestamp> bound,
-    const std::function<void(const Key&, ReadVersion)>& fn) const {
-  ScanVisitShardedImpl(lo, hi, bound,
-                       [&fn](size_t, const Key& key, ReadVersion rv) {
-                         fn(key, std::move(rv));
-                       });
-}
-
-void ShardedStore::ScanVisitSharded(
-    const Key& lo, const Key& hi, std::optional<Timestamp> bound,
-    const std::function<void(size_t shard, const Key&, ReadVersion)>& fn)
-    const {
-  ScanVisitShardedImpl(lo, hi, bound, fn);
-}
-
 std::vector<std::pair<Key, ReadVersion>> ShardedStore::Scan(
     const Key& lo, const Key& hi, std::optional<Timestamp> bound) const {
   std::vector<std::pair<Key, ReadVersion>> out;
@@ -120,16 +104,6 @@ std::vector<std::pair<Key, ReadVersion>> ShardedStore::Scan(
     out.emplace_back(key, std::move(rv));
   });
   return out;
-}
-
-void ShardedStore::ForEachLatest(
-    const std::function<void(const Key&, const Timestamp&)>& fn) const {
-  for (const VersionedStore& s : shards_) s.ForEachLatest(fn);
-}
-
-void ShardedStore::ForEachVersion(
-    const std::function<void(const WriteRecord&)>& fn) const {
-  for (const VersionedStore& s : shards_) s.ForEachVersion(fn);
 }
 
 const WriteRecord* ShardedStore::AnyRecord() const {

@@ -39,7 +39,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -148,11 +147,6 @@ class ShardedStore {
   void ForEachVersionOf(const Key& key, Fn&& fn) const {
     ShardFor(key).ForEachVersionOf(key, std::forward<Fn>(fn));
   }
-  void ForEachVersionOf(
-      const Key& key,
-      const std::function<void(const WriteRecord&)>& fn) const {
-    ShardFor(key).ForEachVersionOf(key, fn);
-  }
   std::optional<Timestamp> NewestPutTimestamp(const Key& key) const {
     return ShardFor(key).NewestPutTimestamp(key);
   }
@@ -174,8 +168,7 @@ class ShardedStore {
 
   /// Range scan over keys in [lo, hi), streamed in ascending key order
   /// across all shards (results are merged; per-shard order alone would
-  /// interleave the hash-partitioned keyspaces). Template-callable hot path
-  /// with a std::function overload for fixed-signature callers.
+  /// interleave the hash-partitioned keyspaces).
   template <class Fn>
   void ScanVisit(const Key& lo, const Key& hi, std::optional<Timestamp> bound,
                  Fn&& fn) const {
@@ -184,9 +177,6 @@ class ShardedStore {
                            fn(key, std::move(rv));
                          });
   }
-  void ScanVisit(
-      const Key& lo, const Key& hi, std::optional<Timestamp> bound,
-      const std::function<void(const Key&, ReadVersion)>& fn) const;
   /// ScanVisit variant that also reports each item's owning shard index —
   /// the merge knows it anyway, so per-shard attribution (e.g. charging
   /// scan service time per lane) costs no extra key hashing.
@@ -195,10 +185,6 @@ class ShardedStore {
                         std::optional<Timestamp> bound, Fn&& fn) const {
     ScanVisitShardedImpl(lo, hi, bound, fn);
   }
-  void ScanVisitSharded(
-      const Key& lo, const Key& hi, std::optional<Timestamp> bound,
-      const std::function<void(size_t shard, const Key&, ReadVersion)>& fn)
-      const;
   std::vector<std::pair<Key, ReadVersion>> Scan(
       const Key& lo, const Key& hi,
       std::optional<Timestamp> bound = std::nullopt) const;
@@ -207,14 +193,10 @@ class ShardedStore {
   void ForEachLatest(Fn&& fn) const {
     for (const VersionedStore& s : shards_) s.ForEachLatest(fn);
   }
-  void ForEachLatest(
-      const std::function<void(const Key&, const Timestamp&)>& fn) const;
   template <class Fn>
   void ForEachVersion(Fn&& fn) const {
     for (const VersionedStore& s : shards_) s.ForEachVersion(fn);
   }
-  void ForEachVersion(
-      const std::function<void(const WriteRecord&)>& fn) const;
 
   /// An arbitrary stored record (first non-empty shard), or nullptr.
   const WriteRecord* AnyRecord() const;

@@ -46,17 +46,15 @@
 //    enumerate in O(bucket size). The entry-hash and enumeration order are
 //    unchanged from the map-based layout: digest wire bytes are identical.
 //
-// The hottest visitors (ScanVisit, ForEachLatest, ForEachLatestInBucket,
-// ForEachVersion, ForEachVersionOf) are template-parameter callables so the
-// per-element call inlines; thin std::function overloads remain for callers
-// that need a fixed signature.
+// The visitors (ScanVisit, ForEachLatest, ForEachLatestInBucket,
+// ForEachVersion, ForEachVersionOf) take template-parameter callables so the
+// per-element call inlines.
 
 #ifndef HAT_VERSION_VERSIONED_STORE_H_
 #define HAT_VERSION_VERSIONED_STORE_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -135,10 +133,6 @@ class VersionedStore {
                  Fn&& fn) const {
     ScanVisitImpl(lo, hi, bound, fn);
   }
-  /// Thin type-erased wrapper for callers holding a std::function.
-  void ScanVisit(
-      const Key& lo, const Key& hi, std::optional<Timestamp> bound,
-      const std::function<void(const Key&, ReadVersion)>& fn) const;
 
   /// Versions of `key` with timestamp strictly greater than `after`; used by
   /// anti-entropy to ship missing versions.
@@ -151,8 +145,6 @@ class VersionedStore {
   void ForEachLatest(Fn&& fn) const {
     ForEachLatestImpl(fn);
   }
-  void ForEachLatest(
-      const std::function<void(const Key&, const Timestamp&)>& fn) const;
 
   /// Iterates every stored version in key order, ascending timestamp within
   /// a key (anti-entropy full sync, snapshot streaming, tests). The visited
@@ -162,8 +154,6 @@ class VersionedStore {
   void ForEachVersion(Fn&& fn) const {
     ForEachVersionImpl(fn);
   }
-  void ForEachVersion(
-      const std::function<void(const WriteRecord&)>& fn) const;
 
   /// Visitor form of Versions(): streams `key`'s versions in ascending
   /// timestamp order. Same scratch-reuse caveat as ForEachVersion.
@@ -171,8 +161,6 @@ class VersionedStore {
   void ForEachVersionOf(const Key& key, Fn&& fn) const {
     ForEachVersionOfImpl(key, fn);
   }
-  void ForEachVersionOf(
-      const Key& key, const std::function<void(const WriteRecord&)>& fn) const;
 
   /// An arbitrary stored record (the first in key order), or nullptr when
   /// the store is empty. Used to derive shard-wide facts (e.g. the
@@ -212,9 +200,6 @@ class VersionedStore {
   void ForEachLatestInBucket(size_t bucket, Fn&& fn) const {
     ForEachLatestInBucketImpl(bucket, fn);
   }
-  void ForEachLatestInBucket(
-      size_t bucket,
-      const std::function<void(const Key&, const Timestamp&)>& fn) const;
 
   /// Number of keys currently hashed into `bucket`.
   size_t BucketKeyCount(size_t bucket) const {
