@@ -100,6 +100,10 @@ struct ScanResponse {
 struct NotifyRequest {
   Timestamp ts;
   NodeId sender = 0;
+  /// True when this notify answers a late notify for a transaction the
+  /// sender already promoted. Answers are never answered, so two promoted
+  /// replicas cannot bounce notifies between them.
+  bool answer = false;
 };
 
 /// Sentinel for AntiEntropyBatch::shard: the batch is not shard-homogeneous

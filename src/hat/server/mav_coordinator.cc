@@ -143,8 +143,12 @@ void MavCoordinator::HandleNotify(const net::NotifyRequest& req) {
     if (promoted_.count(req.ts)) {
       // We already promoted this transaction and dropped its ack state; the
       // sender is catching up after a partition — answer so it can promote.
-      if (req.sender != id_) {
-        send_(req.sender, net::NotifyRequest{req.ts, id_}, {});
+      // An answer is never answered: a sender that has promoted too would
+      // otherwise answer back, and the pair would ping-pong until the
+      // timestamp left promoted memory.
+      if (req.sender != id_ && !req.answer) {
+        send_(req.sender, net::NotifyRequest{req.ts, id_, /*answer=*/true},
+              {});
       }
       return;
     }

@@ -138,6 +138,7 @@ void Fill(ScanResponse& m, Rng& rng) {
 void Fill(NotifyRequest& m, Rng& rng) {
   m.ts = RandTs(rng);
   m.sender = static_cast<NodeId>(rng.NextBelow(1 << 20));
+  m.answer = rng.NextBool(0.5);
 }
 void Fill(AntiEntropyBatch& m, Rng& rng) {
   m.batch_id = rng.NextUint64();

@@ -111,6 +111,64 @@ TEST_F(MavCoordinatorTest, LateAckForPromotedTxnIsAnswered) {
   ASSERT_EQ(notifies_.size(), 1u);
   EXPECT_EQ(notifies_[0].first, kPeer);
   EXPECT_EQ(notifies_[0].second.sender, kSelf);
+  EXPECT_TRUE(notifies_[0].second.answer);
+}
+
+TEST(MavNotifyExchangeTest, PromotedPeersStopAfterOneAnswer) {
+  // Two replicas that both promoted a transaction: one late notify from B
+  // reaches A. A answers once; B, promoted too, must not answer the answer
+  // (before answers were marked, the pair bounced notifies until the
+  // timestamp left promoted memory).
+  constexpr net::NodeId kA = 1, kB = 2;
+  sim::Simulation sim{1};
+  FixedPartitioner partitioner{{kA, kB}};
+  struct Replica {
+    version::ShardedStore good;
+    PersistenceManager persistence{""};
+    std::unique_ptr<MavCoordinator> mav;
+  };
+  Replica a, b;
+  std::vector<std::pair<net::NodeId, net::NotifyRequest>> wire;
+  auto make = [&](Replica& r, net::NodeId id) {
+    r.mav = std::make_unique<MavCoordinator>(
+        sim, id, &partitioner, r.good, r.persistence,
+        MavCoordinator::Options{},
+        [&wire](net::NodeId to, net::Message m, obs::TraceContext) {
+          wire.emplace_back(to, std::get<net::NotifyRequest>(m));
+        },
+        [](const WriteRecord&, net::NodeId, obs::TraceContext) {},
+        [](const Key&) {});
+  };
+  make(a, kA);
+  make(b, kB);
+  auto deliver_all = [&]() {
+    size_t delivered = 0;
+    while (!wire.empty() && delivered < 100) {
+      auto [to, req] = wire.front();
+      wire.erase(wire.begin());
+      (to == kA ? a : b).mav->HandleNotify(req);
+      delivered++;
+    }
+    return delivered;
+  };
+  WriteRecord w;
+  w.key = "k";
+  w.value = "v";
+  w.ts = {10, 7};
+  w.sibs = {"k"};
+  a.mav->Install(w, /*gossip=*/false);
+  b.mav->Install(w, /*gossip=*/false);
+  deliver_all();  // the two pending-stable acks
+  ASSERT_TRUE(a.good.Contains("k", w.ts));
+  ASSERT_TRUE(b.good.Contains("k", w.ts));
+
+  // B's renotify, sent before B promoted, arrives late at A.
+  a.mav->HandleNotify(net::NotifyRequest{w.ts, kB});
+  ASSERT_EQ(wire.size(), 1u);
+  EXPECT_EQ(wire[0].first, kB);
+  EXPECT_TRUE(wire[0].second.answer);
+  EXPECT_EQ(deliver_all(), 1u) << "the answer must not be answered";
+  EXPECT_TRUE(wire.empty());
 }
 
 TEST_F(MavCoordinatorTest, StalePendingDroppedButStillAcked) {
