@@ -121,23 +121,20 @@ int main() {
   hat::harness::Banner(
       "Figure 3D: client group commit (batch_max=8) vs unbatched, "
       "single datacenter, 1 server/cluster, RC");
-  // Four points on the batching/latency trade-off. A 200us wait window
-  // harvests more companions per envelope but, held unconditionally, adds
-  // its full length to every op issued against an idle server — the
-  // adaptive variant closes the envelope at instant-end whenever nothing is
-  // in flight to the target, so low-load latency must track the wait-0
-  // batcher while the wait-window coalescing survives under load.
+  // Three points on the batching/latency trade-off. A 200us wait window
+  // harvests more companions per envelope under pipelined load, and the
+  // batcher closes the envelope at instant-end whenever nothing is in
+  // flight to the target, so low-load latency must track the wait-0
+  // batcher.
   struct Fig3dConfig {
     const char* name;
     bool batch;
     hat::sim::Duration wait_us;
-    bool adaptive;
   };
   const Fig3dConfig configs[] = {
-      {"RC", false, 0, false},
-      {"RC+batch", true, 0, false},
-      {"RC+batch+wait", true, 200, false},
-      {"RC+batch+adaptive", true, 200, true},
+      {"RC", false, 0},
+      {"RC+batch", true, 0},
+      {"RC+batch+wait", true, 200},
   };
   hat::harness::FigureSeries batched;
   batched.title = "Total throughput (1000 txns/s)";
@@ -159,7 +156,6 @@ int main() {
       if (cfg.batch) {
         run.client.batch_max = 8;
         run.client.batch_max_wait_us = cfg.wait_us;
-        run.client.adaptive_batch_wait = cfg.adaptive;
         run.deployment.server.ae_shard_lane_batching = true;
       }
       run.workload = PaperYcsb();

@@ -95,17 +95,13 @@ struct ClientOptions {
   /// its envelope flushes. 0 still coalesces operations issued in the same
   /// simulation instant (a commit's parallel puts, a Read Uncommitted write
   /// burst): the flush fires after the current event's synchronous burst,
-  /// adding no latency.
+  /// adding no latency. A nonzero window applies only while the client has
+  /// an envelope in flight to the target server; when nothing is in flight
+  /// (the server's lane is idle as far as this client can observe) the
+  /// envelope closes at the end of the current instant instead, so the
+  /// window adds no latency at low load and still coalesces under
+  /// pipelined load.
   sim::Duration batch_max_wait_us = 0;
-  /// Adaptive envelope close (meaningful with batch_max_wait_us > 0): when
-  /// the client has no envelope in flight to the target server — the
-  /// server's lane is idle as far as this client can observe — the batcher
-  /// closes the envelope at the end of the current simulation instant
-  /// instead of holding it the full wait window. Batching then adds zero
-  /// latency at low load; under pipelined load (replies still outstanding,
-  /// so the lane is busy anyway) the full window applies and coalescing is
-  /// preserved.
-  bool adaptive_batch_wait = false;
 
   // --- timeouts / retries -------------------------------------------------
   sim::Duration rpc_timeout = 2 * sim::kSecond;
@@ -145,8 +141,9 @@ struct ClientStats {
   /// Singleton flushes go out as plain ops and count in neither.
   uint64_t batches_sent = 0;
   uint64_t batched_ops = 0;
-  /// Envelopes the adaptive batcher closed at instant-end because nothing
-  /// was in flight to the target (idle-lane early closes).
+  /// Envelopes the batcher closed at instant-end instead of holding its
+  /// wait window, because nothing was in flight to the target (idle-lane
+  /// early closes).
   uint64_t adaptive_early_closes = 0;
 
   /// Field manifest for generic merging and metric registration (see

@@ -247,8 +247,7 @@ void TxnClient::CallOp(net::NodeId target, net::Message msg,
     // current synchronous burst enqueues (a commit's put loop, a quorum
     // fan-out) — batching them with zero added latency.
     sim::Duration wait = options_.batch_max_wait_us;
-    if (wait > 0 && options_.adaptive_batch_wait &&
-        inflight_envelopes_.find(target) == inflight_envelopes_.end()) {
+    if (wait > 0 && !inflight_envelopes_.count(target)) {
       // Idle lane: this client has nothing outstanding at the target, so no
       // reply is due whose round-trip the wait could hide behind — holding
       // the envelope would convert the wait window straight into latency.

@@ -124,7 +124,7 @@ class TxnClient : public net::RpcNode {
   /// Sends `target`'s queued ops now (size cap hit or wait timer fired).
   void FlushBatch(net::NodeId target);
   /// An envelope sent by FlushBatch completed (reply or timeout); drops the
-  /// in-flight count the adaptive batcher uses as its idle-lane signal.
+  /// in-flight count the batcher uses as its idle-lane signal.
   void EnvelopeDone(net::NodeId target) {
     auto it = inflight_envelopes_.find(target);
     if (it != inflight_envelopes_.end() && --it->second == 0) {
@@ -224,8 +224,8 @@ class TxnClient : public net::RpcNode {
   };
   std::map<net::NodeId, TargetBatch> batcher_;
   /// Envelopes issued through the batcher still awaiting reply/timeout, per
-  /// target. Absent key = idle: with adaptive_batch_wait the batcher then
-  /// closes new envelopes at instant-end instead of the full wait window.
+  /// target. Absent key = idle: the batcher then closes new envelopes at
+  /// instant-end instead of holding the full wait window.
   std::map<net::NodeId, uint32_t> inflight_envelopes_;
 };
 

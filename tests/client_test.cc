@@ -421,25 +421,14 @@ TEST_F(ClientTest, BatchingDisabledByDefaultSendsPlainOps) {
 TEST_F(ClientTest, AdaptiveBatchWaitClosesEnvelopeWhenLaneIdle) {
   Build();
   const sim::Duration kWait = 50 * sim::kMillisecond;
-
-  // Fixed wait window, idle server: a lone read eats the whole window.
-  ClientOptions fixed;
-  fixed.batch_max = 8;
-  fixed.batch_max_wait_us = kWait;
-  auto slow = Client(fixed);
-  slow.Begin();
-  sim::SimTime t0 = sim_->Now();
-  ASSERT_TRUE(slow.Read("k").ok());
-  EXPECT_GE(sim_->Now() - t0, kWait) << "fixed window adds its full length";
-  slow.Abort();
-
-  // Adaptive: nothing in flight to the target, so the envelope closes at
-  // instant-end and the read costs only the round trip.
-  ClientOptions adaptive = fixed;
-  adaptive.adaptive_batch_wait = true;
-  auto fast = Client(adaptive);
+  // Nothing in flight to the target, so the envelope closes at instant-end
+  // and the read costs only the round trip, not the wait window.
+  ClientOptions opts;
+  opts.batch_max = 8;
+  opts.batch_max_wait_us = kWait;
+  auto fast = Client(opts);
   fast.Begin();
-  t0 = sim_->Now();
+  sim::SimTime t0 = sim_->Now();
   ASSERT_TRUE(fast.Read("k").ok());
   EXPECT_LT(sim_->Now() - t0, kWait / 2) << "idle lane must not wait";
   EXPECT_GT(fast.underlying().stats().adaptive_early_closes, 0u);
@@ -451,7 +440,6 @@ TEST_F(ClientTest, AdaptiveBatchWaitPreservesBatchedCommitSemantics) {
   ClientOptions opts;
   opts.batch_max = 8;
   opts.batch_max_wait_us = 200;
-  opts.adaptive_batch_wait = true;
   auto writer = Client(opts);
   writer.Begin();
   for (int i = 0; i < 16; i++) {
