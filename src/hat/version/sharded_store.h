@@ -102,12 +102,13 @@ class ShardedStore {
   /// Slot hosting logical shard `logical`, if any.
   std::optional<size_t> SlotOfLogical(uint32_t logical) const;
 
-  /// Adds (or finds) a slot for `logical` and returns its index. Used by shard migration to stage an incoming shard; the new
-  /// slot appends after all existing slots.
+  /// Adds (or finds) a slot for `logical` and returns its index. Used by
+  /// shard migration to stage an incoming shard; the new slot appends after
+  /// all existing slots.
   size_t AttachShard(uint32_t logical);
-  /// Empties `logical`'s slot and unmaps it. The slot
-  /// itself remains (indices are stable); keys of that shard become
-  /// unowned. No-op if the shard is not hosted.
+  /// Empties `logical`'s slot and unmaps it. The slot itself remains
+  /// (indices are stable); keys of that shard become unowned. No-op if the
+  /// shard is not hosted.
   void DetachShard(uint32_t logical);
 
   /// One 64-bit roll-up hash per shard — round 0 of sharded digest repair
@@ -170,21 +171,19 @@ class ShardedStore {
   /// across all shards (results are merged; per-shard order alone would
   /// interleave the hash-partitioned keyspaces).
   template <class Fn>
-  void ScanVisit(const Key& lo, const Key& hi, std::optional<Timestamp> bound,
-                 Fn&& fn) const {
-    ScanVisitShardedImpl(lo, hi, bound,
-                         [&fn](size_t, const Key& key, ReadVersion rv) {
-                           fn(key, std::move(rv));
-                         });
+  void ScanVisit(const Key& lo, const Key& hi,
+                 const std::optional<Timestamp>& bound, Fn&& fn) const {
+    ScanVisitSharded(lo, hi, bound,
+                     [&fn](size_t, const Key& key, ReadVersion rv) {
+                       fn(key, std::move(rv));
+                     });
   }
   /// ScanVisit variant that also reports each item's owning shard index —
   /// the merge knows it anyway, so per-shard attribution (e.g. charging
   /// scan service time per lane) costs no extra key hashing.
   template <class Fn>
   void ScanVisitSharded(const Key& lo, const Key& hi,
-                        std::optional<Timestamp> bound, Fn&& fn) const {
-    ScanVisitShardedImpl(lo, hi, bound, fn);
-  }
+                        const std::optional<Timestamp>& bound, Fn&& fn) const;
   std::vector<std::pair<Key, ReadVersion>> Scan(
       const Key& lo, const Key& hi,
       std::optional<Timestamp> bound = std::nullopt) const;
@@ -212,50 +211,6 @@ class ShardedStore {
   const VersionedStore& ShardFor(const Key& key) const {
     return shards_[ShardIndexOf(key)];
   }
-  template <class Fn>
-  void ScanVisitShardedImpl(const Key& lo, const Key& hi,
-                            const std::optional<Timestamp>& bound,
-                            Fn&& fn) const {
-    if (shards_.size() == 1) {
-      shards_[0].ScanVisit(lo, hi, bound,
-                           [&fn](const Key& key, ReadVersion rv) {
-                             fn(size_t{0}, key, std::move(rv));
-                           });
-      return;
-    }
-    // Hash partitioning interleaves the key space across shards, so a merged
-    // in-order stream gathers each shard's (already key-ordered) results and
-    // k-way merges them: O(n log k) comparisons, one comparison per emitted
-    // item against the runner-up head. Keys are unique across shards.
-    std::vector<std::vector<std::pair<Key, ReadVersion>>> runs(shards_.size());
-    for (size_t s = 0; s < shards_.size(); s++) {
-      shards_[s].ScanVisit(lo, hi, bound,
-                           [&run = runs[s]](const Key& key, ReadVersion rv) {
-                             run.emplace_back(key, std::move(rv));
-                           });
-    }
-    // Min-heap of (next key, run index) over the non-exhausted runs.
-    std::vector<size_t> pos(runs.size(), 0);
-    auto greater = [&](size_t a, size_t b) {
-      return runs[a][pos[a]].first > runs[b][pos[b]].first;
-    };
-    std::vector<size_t> heap;
-    for (size_t s = 0; s < runs.size(); s++) {
-      if (!runs[s].empty()) heap.push_back(s);
-    }
-    std::make_heap(heap.begin(), heap.end(), greater);
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), greater);
-      size_t s = heap.back();
-      auto& [key, rv] = runs[s][pos[s]];
-      fn(s, key, std::move(rv));
-      if (++pos[s] < runs[s].size()) {
-        std::push_heap(heap.begin(), heap.end(), greater);
-      } else {
-        heap.pop_back();
-      }
-    }
-  }
 
   uint64_t stride_;
   uint64_t modulus_;  // logical shards (shards x stride at construction)
@@ -265,6 +220,51 @@ class ShardedStore {
   std::vector<uint32_t> slot_logical_;  // tag per slot (kNoShard ok)
   std::unordered_map<uint32_t, size_t> slot_of_logical_;
 };
+
+template <class Fn>
+void ShardedStore::ScanVisitSharded(const Key& lo, const Key& hi,
+                                    const std::optional<Timestamp>& bound,
+                                    Fn&& fn) const {
+  if (shards_.size() == 1) {
+    shards_[0].ScanVisit(lo, hi, bound,
+                         [&fn](const Key& key, ReadVersion rv) {
+                           fn(size_t{0}, key, std::move(rv));
+                         });
+    return;
+  }
+  // Hash partitioning interleaves the key space across shards, so a merged
+  // in-order stream gathers each shard's (already key-ordered) results and
+  // k-way merges them: O(n log k) comparisons, one comparison per emitted
+  // item against the runner-up head. Keys are unique across shards.
+  std::vector<std::vector<std::pair<Key, ReadVersion>>> runs(shards_.size());
+  for (size_t s = 0; s < shards_.size(); s++) {
+    shards_[s].ScanVisit(lo, hi, bound,
+                         [&run = runs[s]](const Key& key, ReadVersion rv) {
+                           run.emplace_back(key, std::move(rv));
+                         });
+  }
+  // Min-heap of (next key, run index) over the non-exhausted runs.
+  std::vector<size_t> pos(runs.size(), 0);
+  auto greater = [&](size_t a, size_t b) {
+    return runs[a][pos[a]].first > runs[b][pos[b]].first;
+  };
+  std::vector<size_t> heap;
+  for (size_t s = 0; s < runs.size(); s++) {
+    if (!runs[s].empty()) heap.push_back(s);
+  }
+  std::make_heap(heap.begin(), heap.end(), greater);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), greater);
+    size_t s = heap.back();
+    auto& [key, rv] = runs[s][pos[s]];
+    fn(s, key, std::move(rv));
+    if (++pos[s] < runs[s].size()) {
+      std::push_heap(heap.begin(), heap.end(), greater);
+    } else {
+      heap.pop_back();
+    }
+  }
+}
 
 }  // namespace hat::version
 

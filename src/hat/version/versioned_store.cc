@@ -14,10 +14,6 @@ size_t RecordBytes(const WriteRecord& w) {
 }
 }  // namespace
 
-size_t VersionedStore::DigestBucketOf(const Key& key, size_t buckets) {
-  return Fnv1a64(key.data(), key.size()) % buckets;
-}
-
 uint64_t VersionedStore::DigestEntryHashParts(uint64_t key_hash,
                                               const Timestamp& ts) {
   // Hash the key digest *through* the timestamp words (sequential FNV), not
@@ -311,7 +307,7 @@ std::vector<WriteRecord> VersionedStore::Versions(const Key& key) const {
 std::vector<std::pair<Key, ReadVersion>> VersionedStore::Scan(
     const Key& lo, const Key& hi, std::optional<Timestamp> bound) const {
   std::vector<std::pair<Key, ReadVersion>> out;
-  ScanVisitImpl(lo, hi, bound, [&out](const Key& key, ReadVersion rv) {
+  ScanVisit(lo, hi, bound, [&out](const Key& key, ReadVersion rv) {
     out.emplace_back(key, std::move(rv));
   });
   return out;

@@ -129,10 +129,8 @@ class VersionedStore {
   /// materializing an intermediate vector. Hot path for server-side scans.
   /// The callable is a template parameter so the per-element call inlines.
   template <class Fn>
-  void ScanVisit(const Key& lo, const Key& hi, std::optional<Timestamp> bound,
-                 Fn&& fn) const {
-    ScanVisitImpl(lo, hi, bound, fn);
-  }
+  void ScanVisit(const Key& lo, const Key& hi,
+                 const std::optional<Timestamp>& bound, Fn&& fn) const;
 
   /// Versions of `key` with timestamp strictly greater than `after`; used by
   /// anti-entropy to ship missing versions.
@@ -142,25 +140,19 @@ class VersionedStore {
   /// Streams every (key, latest timestamp) pair in key order without
   /// copying keys.
   template <class Fn>
-  void ForEachLatest(Fn&& fn) const {
-    ForEachLatestImpl(fn);
-  }
+  void ForEachLatest(Fn&& fn) const;
 
   /// Iterates every stored version in key order, ascending timestamp within
   /// a key (anti-entropy full sync, snapshot streaming, tests). The visited
   /// record is materialized into scratch storage that is reused between
   /// calls — copy it if it must outlive the visit.
   template <class Fn>
-  void ForEachVersion(Fn&& fn) const {
-    ForEachVersionImpl(fn);
-  }
+  void ForEachVersion(Fn&& fn) const;
 
   /// Visitor form of Versions(): streams `key`'s versions in ascending
   /// timestamp order. Same scratch-reuse caveat as ForEachVersion.
   template <class Fn>
-  void ForEachVersionOf(const Key& key, Fn&& fn) const {
-    ForEachVersionOfImpl(key, fn);
-  }
+  void ForEachVersionOf(const Key& key, Fn&& fn) const;
 
   /// An arbitrary stored record (the first in key order), or nullptr when
   /// the store is empty. Used to derive shard-wide facts (e.g. the
@@ -174,9 +166,10 @@ class VersionedStore {
   /// Number of digest buckets this store was constructed with.
   size_t digest_buckets() const { return buckets_.size(); }
 
-  /// Digest bucket a key belongs to in this store.
+  /// Digest bucket a key belongs to in this store (stable hash of the key
+  /// bytes).
   size_t BucketOf(const Key& key) const {
-    return DigestBucketOf(key, buckets_.size());
+    return Fnv1a64(key.data(), key.size()) % buckets_.size();
   }
 
   /// Incremental hash of one bucket: XOR over H(key, latest-ts) of every key
@@ -197,9 +190,7 @@ class VersionedStore {
   /// digest repair enumerates just the mismatched buckets. O(bucket size),
   /// in byte order of the keys (the digest wire order).
   template <class Fn>
-  void ForEachLatestInBucket(size_t bucket, Fn&& fn) const {
-    ForEachLatestInBucketImpl(bucket, fn);
-  }
+  void ForEachLatestInBucket(size_t bucket, Fn&& fn) const;
 
   /// Number of keys currently hashed into `bucket`.
   size_t BucketKeyCount(size_t bucket) const {
@@ -317,9 +308,6 @@ class VersionedStore {
   void InvalidateFold(const KeyState& st) const;
   static size_t FoldBytes(const ReadVersion& rv);
 
-  /// Digest bucket a key belongs to among `buckets` (stable hash of the key
-  /// bytes).
-  static size_t DigestBucketOf(const Key& key, size_t buckets);
   /// Hash contribution of one (key, latest-ts) digest entry.
   static uint64_t DigestEntryHashParts(uint64_t key_hash, const Timestamp& ts);
   /// Re-points `key`'s digest entry from latest-ts `was` to `now` (either
@@ -338,76 +326,6 @@ class VersionedStore {
   /// operations only).
   void EnsureOrdered() const;
 
-  // ---- template visitor bodies --------------------------------------------
-
-  template <class Fn>
-  void ScanVisitImpl(const Key& lo, const Key& hi,
-                     const std::optional<Timestamp>& bound, Fn&& fn) const {
-    EnsureOrdered();
-    std::string_view lov(lo), hiv(hi);
-    auto it = std::lower_bound(
-        ordered_.begin(), ordered_.end(), lov,
-        [this](uint32_t id, std::string_view k) { return keys_.KeyOf(id) < k; });
-    Key scratch;
-    for (; it != ordered_.end(); ++it) {
-      std::string_view kv = keys_.KeyOf(*it);
-      if (kv >= hiv) break;
-      const KeyState& st = states_[*it];
-      if (st.versions.empty()) continue;
-      ReadVersion rv = FoldVisible(st, bound);
-      if (!rv.found) continue;
-      scratch.assign(kv);
-      fn(scratch, std::move(rv));
-    }
-  }
-
-  template <class Fn>
-  void ForEachLatestImpl(Fn&& fn) const {
-    EnsureOrdered();
-    Key scratch;
-    for (uint32_t id : ordered_) {
-      const KeyState& st = states_[id];
-      if (st.versions.empty()) continue;
-      scratch.assign(keys_.KeyOf(id));
-      fn(scratch, st.versions.back().ts);
-    }
-  }
-
-  template <class Fn>
-  void ForEachLatestInBucketImpl(size_t bucket, Fn&& fn) const {
-    Key scratch;
-    for (uint32_t id : buckets_[bucket].members) {
-      // Invariant: a bucket member always has a non-empty chain.
-      scratch.assign(keys_.KeyOf(id));
-      fn(scratch, states_[id].versions.back().ts);
-    }
-  }
-
-  template <class Fn>
-  void ForEachVersionImpl(Fn&& fn) const {
-    EnsureOrdered();
-    WriteRecord scratch;
-    for (uint32_t id : ordered_) {
-      const KeyState& st = states_[id];
-      std::string_view kv = keys_.KeyOf(id);
-      for (const VersionRec& r : st.versions) {
-        MaterializeInto(kv, r, scratch);
-        fn(scratch);
-      }
-    }
-  }
-
-  template <class Fn>
-  void ForEachVersionOfImpl(const Key& key, Fn&& fn) const {
-    const KeyState* st = StateOf(key);
-    if (!st) return;
-    WriteRecord scratch;
-    for (const VersionRec& r : st->versions) {
-      MaterializeInto(key, r, scratch);
-      fn(scratch);
-    }
-  }
-
   KeyInterner keys_;
   std::vector<KeyState> states_;  // indexed by key id
   std::vector<BucketState> buckets_;
@@ -420,6 +338,77 @@ class VersionedStore {
   size_t approx_bytes_ = 0;
   mutable size_t fold_bytes_ = 0;  // bytes held by valid fold-cache entries
 };
+
+// ---- template visitor bodies ----------------------------------------------
+
+template <class Fn>
+void VersionedStore::ScanVisit(const Key& lo, const Key& hi,
+                               const std::optional<Timestamp>& bound,
+                               Fn&& fn) const {
+  EnsureOrdered();
+  std::string_view lov(lo), hiv(hi);
+  auto it = std::lower_bound(
+      ordered_.begin(), ordered_.end(), lov,
+      [this](uint32_t id, std::string_view k) { return keys_.KeyOf(id) < k; });
+  Key scratch;
+  for (; it != ordered_.end(); ++it) {
+    std::string_view kv = keys_.KeyOf(*it);
+    if (kv >= hiv) break;
+    const KeyState& st = states_[*it];
+    if (st.versions.empty()) continue;
+    ReadVersion rv = FoldVisible(st, bound);
+    if (!rv.found) continue;
+    scratch.assign(kv);
+    fn(scratch, std::move(rv));
+  }
+}
+
+template <class Fn>
+void VersionedStore::ForEachLatest(Fn&& fn) const {
+  EnsureOrdered();
+  Key scratch;
+  for (uint32_t id : ordered_) {
+    const KeyState& st = states_[id];
+    if (st.versions.empty()) continue;
+    scratch.assign(keys_.KeyOf(id));
+    fn(scratch, st.versions.back().ts);
+  }
+}
+
+template <class Fn>
+void VersionedStore::ForEachLatestInBucket(size_t bucket, Fn&& fn) const {
+  Key scratch;
+  for (uint32_t id : buckets_[bucket].members) {
+    // Invariant: a bucket member always has a non-empty chain.
+    scratch.assign(keys_.KeyOf(id));
+    fn(scratch, states_[id].versions.back().ts);
+  }
+}
+
+template <class Fn>
+void VersionedStore::ForEachVersion(Fn&& fn) const {
+  EnsureOrdered();
+  WriteRecord scratch;
+  for (uint32_t id : ordered_) {
+    const KeyState& st = states_[id];
+    std::string_view kv = keys_.KeyOf(id);
+    for (const VersionRec& r : st.versions) {
+      MaterializeInto(kv, r, scratch);
+      fn(scratch);
+    }
+  }
+}
+
+template <class Fn>
+void VersionedStore::ForEachVersionOf(const Key& key, Fn&& fn) const {
+  const KeyState* st = StateOf(key);
+  if (!st) return;
+  WriteRecord scratch;
+  for (const VersionRec& r : st->versions) {
+    MaterializeInto(key, r, scratch);
+    fn(scratch);
+  }
+}
 
 }  // namespace hat::version
 
