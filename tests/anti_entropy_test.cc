@@ -303,7 +303,7 @@ TEST_F(AntiEntropyTest, ShardDigestWithUntaggedHashesIsDropped) {
   // every hash would run past the end of `shards`.
   digest.hashes.push_back(digest.hashes[0]);
   engine_->HandleShardDigest(digest, kPeer);
-  // No tags at all (the retired untagged format).
+  // No tags at all.
   engine_->HandleShardDigest(net::ShardDigest{peer.ShardHashes()}, kPeer);
   EXPECT_TRUE(sent_.empty());
   EXPECT_TRUE(installed_.empty());

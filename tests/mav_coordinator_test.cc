@@ -116,9 +116,9 @@ TEST_F(MavCoordinatorTest, LateAckForPromotedTxnIsAnswered) {
 
 TEST(MavNotifyExchangeTest, PromotedPeersStopAfterOneAnswer) {
   // Two replicas that both promoted a transaction: one late notify from B
-  // reaches A. A answers once; B, promoted too, must not answer the answer
-  // (before answers were marked, the pair bounced notifies until the
-  // timestamp left promoted memory).
+  // reaches A. A answers once; B, promoted too, must not answer the answer,
+  // or the pair would bounce notifies until the timestamp left promoted
+  // memory.
   constexpr net::NodeId kA = 1, kB = 2;
   sim::Simulation sim{1};
   FixedPartitioner partitioner{{kA, kB}};
